@@ -40,7 +40,6 @@ from .errors import (
     DimensionTooLargeError,
     DuplicateModulusError,
     EmptyModuliError,
-    KTooLargeError,
     ModulusTooLargeError,
     ModulusTooSmallError,
     NotCoprimeError,
@@ -70,7 +69,6 @@ __all__ = [
     "EmptyModuliError",
     "IndependenceReport",
     "IntegerMatrix",
-    "KTooLargeError",
     "ModulusSystem",
     "ModulusTooLargeError",
     "ModulusTooSmallError",

@@ -12,12 +12,13 @@ included when --timing is passed (and inside bench rows, whose point is
 the measurement).
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 invalid input,
-3 resource refusal.
+3 resource refusal. Every integer is printed in full, however many digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -155,8 +156,7 @@ def _str_counts(counts) -> dict[str, str]:
     }
 
 
-def _run_count(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    system = _system_from_args(args)
+def _run_count(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
     counts = coverage_counts(system)
     histogram = exact_coverage_histogram(system)
     record = {
@@ -173,8 +173,7 @@ def _run_count(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return record, EXIT_OK
 
 
-def _run_det(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    system = _system_from_args(args)
+def _run_det(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
     if args.method == "recurrence":
         value = available_det(system) if args.which == "available" else free_det(system)
     else:
@@ -197,8 +196,7 @@ def _run_det(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return record, EXIT_OK
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    system = _system_from_args(args)
+def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
     config = SieveConfig(product_limit=args.limit, threads=args.threads)
     report = residue_independence_check(
         system,
@@ -234,7 +232,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return record, EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
-def _run_oeis(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _run_oeis(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any], int]:
     if args.terms < 1:
         raise ValidationError("--terms must be >= 1")
     table = (
@@ -242,15 +240,14 @@ def _run_oeis(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if args.sequence == "A067549"
         else oeis_a005867(args.terms)
     )
-    record = {
+    record: dict[str, Any] = {
         "command": "oeis",
         "inputs": {"sequence": table.name, "terms": str(args.terms)},
-        "results": {
-            "terms": [[str(i), str(v)] for i, v in table.terms],
-        },
     }
     if args.bfile:
         record["_text"] = "".join(line + "\n" for line in table.bfile_lines())
+    else:
+        record["results"] = {"terms": [[str(i), str(v)] for i, v in table.terms]}
     return record, EXIT_OK
 
 
@@ -266,7 +263,7 @@ def _time_best(fn, repeat: int) -> tuple[float, Any]:
     return best, result
 
 
-def _run_bench(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _run_bench(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any], int]:
     if args.kmax < 2:
         raise ValidationError("--kmax must be >= 2")
     if args.repeat < 1:
@@ -358,12 +355,29 @@ def _render_csv(record: dict[str, Any]) -> str:
     raise ValueError(f"no csv layout for {command}")
 
 
+@contextlib.contextmanager
+def _exact_decimals():
+    """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        record, exit_code = _RUNNERS[args.command](args)
+        # --primes is parsed under the digit limit; only the work and its output are not
+        system = _system_from_args(args) if "primes" in args else None
+        with _exact_decimals():
+            record, exit_code = _RUNNERS[args.command](args, system)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CoverageCounts, ModulusSystem
-from .determinant import available_det, free_det
-from .errors import KTooLargeError
-
-MAX_HISTOGRAM_K = 25
+from .determinant import coverage_polynomial, coverage_polynomials
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,11 @@ class SequenceTable:
 
 def coverage_counts(system: ModulusSystem) -> CoverageCounts:
     """Exact free/available/occupied counts, independent of any assignment."""
-    available = available_det(system)
+    free, once = coverage_polynomial(system.moduli, 1)
+    available = free + once
     return CoverageCounts(
         available=available,
-        free=free_det(system),
+        free=free,
         occupied=system.product - available,
         product=system.product,
     )
@@ -87,23 +85,10 @@ def occ_recurrence(system: ModulusSystem) -> int:
 def exact_coverage_histogram(system: ModulusSystem) -> CoverageHistogram:
     """Counts of integers at every coverage multiplicity j = 0..k.
 
-    Dynamic programming over prod_i ((p_i - 1) + x) in O(k^2) exact
-    big-integer operations; refused above k = 25 (generous: the window
-    itself is astronomically large well before that).
+    The whole polynomial prod_i ((p_i - 1) + x), in O(k^2) exact
+    big-integer operations.
     """
-    if system.k > MAX_HISTOGRAM_K:
-        raise KTooLargeError(
-            f"histogram limited to {MAX_HISTOGRAM_K} moduli, got {system.k}"
-        )
-    coeffs = [1]
-    for p in system.moduli:
-        weight = p - 1
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j] += c * weight
-            nxt[j + 1] += c
-        coeffs = nxt
-    return CoverageHistogram(counts=tuple(coeffs))
+    return CoverageHistogram(counts=coverage_polynomial(system.moduli, system.k))
 
 
 def first_primes(count: int) -> list[int]:
@@ -123,27 +108,21 @@ def first_primes(count: int) -> list[int]:
     return primes[:count]
 
 
-def _sequence_over_first_primes(name: str, n_terms: int, track_available: bool) -> SequenceTable:
+def _sequence_over_first_primes(name: str, n_terms: int, degree: int) -> SequenceTable:
+    """Sum of the coefficients up to x^degree, over each prefix of the first primes."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    primes = first_primes(n_terms)
-    terms: list[tuple[int, int]] = []
-    avail = primes[0]
-    free = primes[0] - 1
-    terms.append((1, avail if track_available else free))
-    for t in range(1, n_terms):
-        p = primes[t]
-        avail = free + (p - 1) * avail
-        free *= p - 1
-        terms.append((t + 1, avail if track_available else free))
-    return SequenceTable(name=name, terms=tuple(terms))
+    prefixes = coverage_polynomials(first_primes(n_terms), degree)
+    return SequenceTable(
+        name=name, terms=tuple((t, sum(c)) for t, c in enumerate(prefixes, start=1))
+    )
 
 
 def oeis_a067549(n_terms: int) -> SequenceTable:
     """Available-count determinants over the first k primes, k = 1..n_terms."""
-    return _sequence_over_first_primes("A067549", n_terms, track_available=True)
+    return _sequence_over_first_primes("A067549", n_terms, degree=1)
 
 
 def oeis_a005867(n_terms: int) -> SequenceTable:
     """Free-count determinants over the first k primes: prod (p_i - 1)."""
-    return _sequence_over_first_primes("A005867", n_terms, track_available=False)
+    return _sequence_over_first_primes("A005867", n_terms, degree=0)

@@ -2,16 +2,17 @@
 
 The "available" matrix of a system is k x k with the moduli on the
 diagonal and ones everywhere else; the "free" matrix borders it with an
-all-ones first row, making it (k+1) x (k+1). Three independent ways to
-evaluate them:
+all-ones first row, making it (k+1) x (k+1). Three ways to evaluate them:
 
-* ``available_det`` / ``free_det``: O(k) big-integer recurrences that
-  exploit the structure (the free count is a bare product of (p - 1)
-  factors; the available count folds the free prefix in at each step);
+* ``available_det`` / ``free_det``: one O(k) big-integer fold,
+  ``coverage_polynomials``, over prod_i ((p_i - 1) + x). The free count
+  is its x^0 coefficient and the available count its x^0 + x^1
+  coefficients, so both recurrences are the same fold read at degree 0
+  and degree 1;
 * ``det_bareiss``: fraction-free elimination, exact on any integer
-  matrix, used as the general-purpose oracle;
+  matrix, the route independent of the fold;
 * ``det_laplace``: cofactor expansion along the last row, for tiny
-  matrices only, used as the oracle's oracle.
+  matrices only, a second independent route that checks Bareiss.
 
 All arithmetic is arbitrary precision throughout; there is no fixed-width
 fast path to diverge from the exact routes.
@@ -20,7 +21,7 @@ fast path to diverge from the exact routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import ModulusSystem
 from .errors import DimensionTooLargeError
@@ -144,30 +145,42 @@ def _laplace(rows: list[list[int]]) -> int:
     return total
 
 
+def coverage_polynomials(moduli: Iterable[int], degree: int) -> Iterator[tuple[int, ...]]:
+    """Coefficients of prod_i ((p_i - 1) + x) over each prefix of ``moduli``,
+    lowest degree first and truncated above x^degree. The x^j coefficient
+    counts the integers in [1, product] lying in exactly j chosen classes."""
+    coeffs = [1]
+    for p in moduli:
+        weight = p - 1
+        if len(coeffs) <= degree:
+            coeffs.append(0)
+        for j in range(len(coeffs) - 1, 0, -1):
+            coeffs[j] = coeffs[j] * weight + coeffs[j - 1]
+        coeffs[0] *= weight
+        yield tuple(coeffs)
+
+
+def coverage_polynomial(moduli: Iterable[int], degree: int) -> tuple[int, ...]:
+    """The full product, truncated above x^degree: the last prefix."""
+    coeffs = (1,)
+    for coeffs in coverage_polynomials(moduli, degree):
+        pass
+    return coeffs
+
+
 def free_det(system: ModulusSystem) -> int:
     """F_k, the free count: the product of (p_i - 1) over the system.
 
     Equals (-1)^k times the raw determinant of the bordered free matrix;
     the sign conversion lives here so the count is never negative.
     """
-    result = 1
-    for p in system.moduli:
-        result *= p - 1
-    return result
+    return coverage_polynomial(system.moduli, 0)[0]
 
 
 def available_det(system: ModulusSystem) -> int:
     """A_k, the available count, in O(k) big-integer multiplications.
 
-    Consumes the moduli left to right: starting from A = p_1 and the free
-    prefix F = p_1 - 1, each step folds the next modulus in as
-    A -> F + (p - 1) * A, F -> (p - 1) * F. Equals the determinant of the
-    available matrix for every modulus order.
+    The x^0 + x^1 coefficients of prod_i ((p_i - 1) + x); equals the
+    determinant of the available matrix for every modulus order.
     """
-    moduli = system.moduli
-    avail = moduli[0]
-    free = moduli[0] - 1
-    for p in moduli[1:]:
-        avail = free + (p - 1) * avail
-        free *= p - 1
-    return avail
+    return sum(coverage_polynomial(system.moduli, 1))

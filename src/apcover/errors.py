@@ -46,10 +46,6 @@ class DimensionTooLargeError(ValidationError):
     """Cofactor expansion is refused above its dimension cap."""
 
 
-class KTooLargeError(ValidationError):
-    """Histogram computation is refused above its modulus-count cap."""
-
-
 class ResourceLimitError(ApcoverError, RuntimeError):
     """Work refused up front rather than attempted."""
 

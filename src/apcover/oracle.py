@@ -90,23 +90,20 @@ def sieve_histogram(
     residues = tuple(r % p for r, p in zip(assignment.residues, moduli))
 
     bounds = list(range(1, product + 1, config.chunk_size)) + [product + 1]
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    workers = config.threads or os.cpu_count() or 1
-    totals = [0] * (k + 1)
-    if workers > 1 and len(chunks) > 1:
+    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli), itertools.repeat(residues))
+    workers = min(config.threads or os.cpu_count() or 1, len(bounds) - 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = pool.map(
-                lambda span: _chunk_histogram(span[0], span[1], moduli, residues),
-                chunks,
-            )
-            for hist in partials:
-                for j in range(k + 1):
-                    totals[j] += int(hist[j])
-    else:
-        for lo, hi in chunks:
-            hist = _chunk_histogram(lo, hi, moduli, residues)
-            for j in range(k + 1):
-                totals[j] += int(hist[j])
+            return _merge(pool.map(_chunk_histogram, *chunk_args), k)
+    return _merge(map(_chunk_histogram, *chunk_args), k)
+
+
+def _merge(partials: Iterator[np.ndarray], k: int) -> CoverageHistogram:
+    """Exact sum of chunk histograms as each finishes (collecting first raised peak RSS)."""
+    totals = [0] * (k + 1)
+    for hist in partials:
+        for j in range(k + 1):
+            totals[j] += int(hist[j])
     return CoverageHistogram(counts=tuple(totals))
 
 

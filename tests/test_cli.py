@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
 import apcover.cli as cli
-from apcover.core import CoverageCounts
+from apcover.core import CoverageCounts, is_prime, validate_modulus_system
+from apcover.counting import first_primes
+from apcover.determinant import available_det
 from apcover.oracle import IndependenceReport
 
 
@@ -57,6 +60,15 @@ def test_count_coprime_mode(capsys):
     assert code == 0
     assert record["results"]["available"] == "35"
     assert record["results"]["free"] == "24"
+
+
+def test_count_past_the_old_histogram_cap(capsys):
+    code, record, _ = run_json(capsys, "count", "--first-k", "26")
+    assert code == 0
+    results = record["results"]
+    assert len(results["histogram"]) == 27
+    assert results["histogram"][0] == results["free"]
+    assert sum(int(c) for c in results["histogram"]) == int(results["product"])
 
 
 def test_count_csv(capsys):
@@ -299,3 +311,70 @@ def test_timing_flag_adds_wall_clock(capsys):
     assert code == 0
     assert record["timing_ms"] is not None
     float(record["timing_ms"])
+
+
+# Python >= 3.11 refuses int<->str conversions past 4300 digits by default;
+# the outputs below are all at least 5000 digits long.
+
+
+def decimal(n):
+    with cli._exact_decimals():
+        return str(n)
+
+
+def primes_below_2_64(count):
+    primes = []
+    n = 2**64 - 1
+    while len(primes) < count:
+        if is_prime(n):
+            primes.append(n)
+        n -= 2
+    return primes
+
+
+def test_count_prints_every_digit(capsys):
+    moduli = primes_below_2_64(270)
+    code, record, _ = run_json(capsys, "count", "--primes", ",".join(map(str, moduli)))
+    assert code == 0
+    results = record["results"]
+    assert len(results["product"]) >= 5000
+    assert results["product"] == decimal(math.prod(moduli))
+    assert results["free"] == decimal(math.prod(p - 1 for p in moduli))
+    assert results["histogram"][0] == results["free"]
+    assert results["histogram"][-1] == "1"
+
+
+def test_det_prints_every_digit(capsys):
+    code, record, _ = run_json(capsys, "det", "--first-k", "1450", "--which", "available")
+    assert code == 0
+    value = record["results"]["value"]
+    assert len(value) >= 5000
+    assert value == decimal(available_det(validate_modulus_system(first_primes(1450))))
+
+
+def test_oeis_prints_every_digit(capsys):
+    expected = decimal(math.prod(p - 1 for p in first_primes(1450)))
+    assert len(expected) >= 5000
+    code, record, _ = run_json(capsys, "oeis", "--sequence", "A005867", "--terms", "1450")
+    assert code == 0
+    assert record["results"]["terms"][-1] == ["1450", expected]
+    code, out, _ = run(
+        capsys, "oeis", "--sequence", "A005867", "--terms", "1450", "--bfile"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == f"1450 {expected}"
+
+
+def test_verify_refusal_names_a_long_product_in_one_line(capsys):
+    code, out, err = run(capsys, "verify", "--first-k", "1450")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds" in err
+    assert len(err) >= 5000
+
+
+def test_long_modulus_token_is_refused_in_one_line(capsys):
+    code, out, err = run(capsys, "count", "--primes", "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

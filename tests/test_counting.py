@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from apcover.determinant import (
     det_bareiss,
     free_det,
 )
-from apcover.errors import KTooLargeError
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -102,10 +102,20 @@ def test_histogram_invariants_on_random_systems():
         )
 
 
-def test_histogram_k_cap():
-    s = system(first_primes(26))
-    with pytest.raises(KTooLargeError):
-        exact_coverage_histogram(s)
+def test_histogram_k40_against_routes_outside_the_fold():
+    # free_det and available_det share the histogram's fold, so check
+    # k = 40 (past the old k <= 25 cap) against products and elimination.
+    s = system(first_primes(40))
+    counts = exact_coverage_histogram(s).counts
+    assert len(counts) == 41
+    assert counts[0] == math.prod(p - 1 for p in s.moduli)
+    raw_free = det_bareiss(build_free_matrix(s))
+    assert counts[0] == (raw_free if s.k % 2 == 0 else -raw_free)
+    assert counts[0] + counts[1] == det_bareiss(build_available_matrix(s))
+    assert sum(counts) == s.product
+    assert sum(j * c for j, c in enumerate(counts)) == sum(
+        s.product // p for p in s.moduli
+    )
 
 
 def test_first_primes():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import apcover.oracle as oracle
 from apcover.core import assign_residues, gamma, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.errors import ProductTooLargeError, TooManyAssignmentsError
@@ -66,6 +67,26 @@ def test_thread_count_does_not_change_results():
     auto = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=0))
     assert seq == par == auto
     assert sum(seq.counts) == s.product
+
+
+def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
+    pools = []
+    real_pool = oracle.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", recording_pool)
+    s = system([2, 3, 5, 7])
+    a = assign_residues(s, [1, 2, 3, 4])
+    expected = (48, 92, 56, 13, 1)
+    assert sieve_histogram(s, a, SieveConfig(threads=4)).counts == expected  # one chunk
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=1)).counts == expected
+    assert pools == []
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=4)).counts == expected
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=105, threads=4)).counts == expected
+    assert pools == [4, 2]  # never more workers than chunks
 
 
 def test_product_limit_refusal():

@@ -1,0 +1,91 @@
+"""Property tests: the coverage-polynomial fold against elimination, and
+results that must not depend on modulus order or on how the sieve runs."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from apcover.core import assign_residues, validate_modulus_system
+from apcover.counting import coverage_counts, exact_coverage_histogram
+from apcover.determinant import (
+    available_det,
+    build_available_matrix,
+    build_free_matrix,
+    det_bareiss,
+    free_det,
+)
+from apcover.oracle import SieveConfig, sieve_histogram
+
+# Derandomized so every run of the suite draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+prime_systems = st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=10, unique=True)
+
+
+@st.composite
+def coprime_composite_systems(draw):
+    """Up to 10 pairwise-coprime moduli, each p^a or p^a * q^b from its own pair of primes."""
+    primes = draw(st.permutations(SMALL_PRIMES))
+    moduli = []
+    for i in range(draw(st.integers(1, len(primes) // 2))):
+        modulus = primes[2 * i] ** draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            modulus *= primes[2 * i + 1] ** draw(st.integers(1, 2))
+        moduli.append(modulus)
+    return moduli
+
+
+def check_fold_against_bareiss(moduli, coprime):
+    s = validate_modulus_system(moduli, coprime_mode=coprime)
+    raw_free = det_bareiss(build_free_matrix(s))
+    assert free_det(s) == (raw_free if s.k % 2 == 0 else -raw_free)
+    assert available_det(s) == det_bareiss(build_available_matrix(s))
+    counts = exact_coverage_histogram(s).counts
+    assert counts[0] == free_det(s)
+    assert counts[0] + counts[1] == available_det(s)
+
+
+@PROPERTY
+@given(prime_systems)
+def test_fold_matches_bareiss_on_prime_systems(moduli):
+    check_fold_against_bareiss(moduli, coprime=False)
+
+
+@PROPERTY
+@given(coprime_composite_systems())
+def test_fold_matches_bareiss_on_coprime_composite_systems(moduli):
+    check_fold_against_bareiss(moduli, coprime=True)
+
+
+@PROPERTY
+@given(st.one_of(prime_systems, coprime_composite_systems()).flatmap(
+    lambda ms: st.tuples(st.just(ms), st.permutations(ms))
+))
+def test_counts_and_histogram_ignore_modulus_order(pair):
+    original, permuted = (validate_modulus_system(ms, coprime_mode=True) for ms in pair)
+    assert coverage_counts(original) == coverage_counts(permuted)
+    assert exact_coverage_histogram(original) == exact_coverage_histogram(permuted)
+
+
+SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 11),
+                 (4, 9, 5), (8, 9, 25))
+
+
+@PROPERTY
+@given(
+    moduli=st.sampled_from(SIEVE_SYSTEMS),
+    residues=st.lists(st.integers(0, 10**6), min_size=5, max_size=5),
+    chunk_size=st.integers(1, 300),
+    threads=st.sampled_from((1, 2, 4)),
+)
+@example(moduli=(2, 3, 5, 7, 11), residues=[1, 2, 3, 4, 5], chunk_size=1, threads=4)
+@example(moduli=(2, 3, 5), residues=[0] * 5, chunk_size=300, threads=4)  # one chunk
+@example(moduli=(2, 3), residues=[1] * 5, chunk_size=6, threads=2)  # one chunk, exactly
+def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, threads):
+    s = validate_modulus_system(moduli, coprime_mode=True)
+    a = assign_residues(s, residues[: s.k])
+    config = SieveConfig(chunk_size=chunk_size, threads=threads)
+    whole_window = sieve_histogram(s, a, SieveConfig(threads=1))
+    assert sieve_histogram(s, a, config) == whole_window
+    assert whole_window == exact_coverage_histogram(s)
