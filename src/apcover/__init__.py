@@ -35,21 +35,7 @@ from .determinant import (
     det_laplace,
     free_det,
 )
-from .errors import (
-    ApcoverError,
-    DimensionTooLargeError,
-    DuplicateModulusError,
-    EmptyModuliError,
-    ModulusTooLargeError,
-    ModulusTooSmallError,
-    NotCoprimeError,
-    NotPrimeError,
-    OutOfRangeError,
-    ProductTooLargeError,
-    ResourceLimitError,
-    TooManyAssignmentsError,
-    ValidationError,
-)
+from .errors import ApcoverError, ResourceLimitError, ValidationError
 from .oracle import (
     IndependenceReport,
     SieveConfig,
@@ -64,23 +50,13 @@ __all__ = [
     "ApcoverError",
     "CoverageCounts",
     "CoverageHistogram",
-    "DimensionTooLargeError",
-    "DuplicateModulusError",
-    "EmptyModuliError",
     "IndependenceReport",
     "IntegerMatrix",
     "ModulusSystem",
-    "ModulusTooLargeError",
-    "ModulusTooSmallError",
-    "NotCoprimeError",
-    "NotPrimeError",
-    "OutOfRangeError",
-    "ProductTooLargeError",
     "ResidueAssignment",
     "ResourceLimitError",
     "SequenceTable",
     "SieveConfig",
-    "TooManyAssignmentsError",
     "ValidationError",
     "assign_residues",
     "available_det",

@@ -12,7 +12,8 @@ included when --timing is passed (and inside bench rows, whose point is
 the measurement).
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 invalid input,
-3 resource refusal. Every integer is printed in full, however many digits.
+3 resource refusal, 4 internal error. Every integer is printed in full,
+however many digits.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_moduli(text: str) -> list[int]:
@@ -384,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except Exception as exc:  # a defect here; exit 1 stays reserved for a mismatch
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     text = record.pop("_text", None)

@@ -16,16 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    DuplicateModulusError,
-    EmptyModuliError,
-    ModulusTooLargeError,
-    ModulusTooSmallError,
-    NotCoprimeError,
-    NotPrimeError,
-    OutOfRangeError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 MAX_MODULUS = 2**64 - 1
 
@@ -108,28 +99,28 @@ def validate_modulus_system(
     """
     ms = tuple(int(m) for m in moduli)
     if not ms:
-        raise EmptyModuliError("at least one modulus is required")
+        raise ValidationError("at least one modulus is required")
     for m in ms:
         if m < 2:
-            raise ModulusTooSmallError(f"modulus {m} is smaller than 2")
+            raise ValidationError(f"modulus {m} is smaller than 2")
         if m > MAX_MODULUS:
-            raise ModulusTooLargeError(f"modulus {m} does not fit in 64 bits")
+            raise ValidationError(f"modulus {m} does not fit in 64 bits")
     seen: set[int] = set()
     for m in ms:
         if m in seen:
-            raise DuplicateModulusError(f"modulus {m} appears more than once")
+            raise ValidationError(f"modulus {m} appears more than once")
         seen.add(m)
     if coprime_mode:
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
                 if math.gcd(ms[i], ms[j]) != 1:
-                    raise NotCoprimeError(
+                    raise ValidationError(
                         f"moduli {ms[i]} and {ms[j]} share a common factor"
                     )
     else:
         for m in ms:
             if not is_prime(m):
-                raise NotPrimeError(f"modulus {m} is not prime")
+                raise ValidationError(f"modulus {m} is not prime")
     return ModulusSystem(moduli=ms, product=math.prod(ms), coprime_mode=coprime_mode)
 
 
@@ -148,7 +139,7 @@ def assign_residues(
 def gamma(system: ModulusSystem, assignment: ResidueAssignment, n: int) -> int:
     """Number of chosen residue classes containing n, for n in [1, product]."""
     if not 1 <= n <= system.product:
-        raise OutOfRangeError(f"{n} lies outside [1, {system.product}]")
+        raise ValidationError(f"{n} lies outside [1, {system.product}]")
     if len(assignment.residues) != system.k:
         raise ValidationError(
             f"assignment has {len(assignment.residues)} residues for {system.k} moduli"

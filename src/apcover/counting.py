@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .core import CoverageCounts, ModulusSystem
 from .determinant import coverage_polynomial, coverage_polynomials
+from .errors import ResourceLimitError, ValidationError
+
+MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,11 @@ def exact_coverage_histogram(system: ModulusSystem) -> CoverageHistogram:
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes via a plain sieve with a Rosser bound."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValidationError("count must be >= 1")
+    if count > MAX_FIRST_PRIMES:
+        raise ResourceLimitError(
+            f"{count} primes exceed the first-primes limit {MAX_FIRST_PRIMES}"
+        )
     if count < 6:
         return [2, 3, 5, 7, 11][:count]
     # p_n < n (ln n + ln ln n) for n >= 6
@@ -110,8 +117,6 @@ def first_primes(count: int) -> list[int]:
 
 def _sequence_over_first_primes(name: str, n_terms: int, degree: int) -> SequenceTable:
     """Sum of the coefficients up to x^degree, over each prefix of the first primes."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     prefixes = coverage_polynomials(first_primes(n_terms), degree)
     return SequenceTable(
         name=name, terms=tuple((t, sum(c)) for t, c in enumerate(prefixes, start=1))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import ModulusSystem
-from .errors import DimensionTooLargeError
+from .errors import ValidationError
 
 LAPLACE_MAX_DIMENSION = 8
 
@@ -52,9 +52,6 @@ class IntegerMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         return cls(dimension=n, entries=tuple(x for row in rows for x in row))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.dimension + j]
 
     def rows(self) -> list[list[int]]:
         n = self.dimension
@@ -119,7 +116,7 @@ def det_laplace(matrix: IntegerMatrix) -> int:
     Factorially expensive; refused above dimension 8.
     """
     if matrix.dimension > LAPLACE_MAX_DIMENSION:
-        raise DimensionTooLargeError(
+        raise ValidationError(
             f"cofactor expansion limited to dimension {LAPLACE_MAX_DIMENSION}, "
             f"got {matrix.dimension}"
         )
@@ -171,8 +168,9 @@ def coverage_polynomial(moduli: Iterable[int], degree: int) -> tuple[int, ...]:
 def free_det(system: ModulusSystem) -> int:
     """F_k, the free count: the product of (p_i - 1) over the system.
 
-    Equals (-1)^k times the raw determinant of the bordered free matrix;
-    the sign conversion lives here so the count is never negative.
+    Equals (-1)^k times the raw determinant of the bordered free matrix,
+    so it is never negative; callers that evaluate that matrix directly
+    apply the sign themselves.
     """
     return coverage_polynomial(system.moduli, 0)[0]
 

@@ -21,11 +21,11 @@ import numpy as np
 
 from .core import CoverageCounts, ModulusSystem, ResidueAssignment
 from .counting import CoverageHistogram, coverage_counts
-from .errors import ProductTooLargeError, TooManyAssignmentsError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_CHUNK_SIZE = 1 << 20
 DEFAULT_PRODUCT_LIMIT = 10**9
-EXHAUSTIVE_ASSIGNMENT_BUDGET = 10**6
+EXHAUSTIVE_SIEVE_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,11 @@ class SieveConfig:
 
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise ValidationError("chunk_size must be >= 1")
         if self.product_limit < 1:
-            raise ValueError("product_limit must be >= 1")
+            raise ValidationError("product_limit must be >= 1")
         if self.threads < 0:
-            raise ValueError("threads must be >= 0")
+            raise ValidationError("threads must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class IndependenceReport:
 def _check_window(system: ModulusSystem, assignment: ResidueAssignment,
                   config: SieveConfig) -> None:
     if system.product > config.product_limit:
-        raise ProductTooLargeError(
+        raise ResourceLimitError(
             f"product {system.product} exceeds sieve limit {config.product_limit}"
         )
     if len(assignment.residues) != system.k:
@@ -141,16 +141,18 @@ def residue_independence_check(
 
     Random mode draws ``trials`` assignments from a generator seeded with
     ``seed`` (each residue uniform in [0, p)), so reports are reproducible.
-    Exhaustive mode enumerates every assignment; the assignment space has
-    exactly ``product`` elements, so it is refused beyond the budget.
+    Exhaustive mode enumerates every assignment; there are ``product`` of
+    them, each sieving ``product`` integers, so it is refused when
+    ``product ** 2`` exceeds the budget on integers sieved.
     """
     config = config or SieveConfig()
     expected = coverage_counts(system)
     if exhaustive:
-        if system.product > EXHAUSTIVE_ASSIGNMENT_BUDGET:
-            raise TooManyAssignmentsError(
-                f"{system.product} assignments exceed the exhaustive budget "
-                f"{EXHAUSTIVE_ASSIGNMENT_BUDGET}"
+        sieved = system.product * system.product
+        if sieved > EXHAUSTIVE_SIEVE_BUDGET:
+            raise ResourceLimitError(
+                f"{sieved} integers to sieve exceed the exhaustive budget "
+                f"{EXHAUSTIVE_SIEVE_BUDGET}"
             )
         candidates = itertools.product(*(range(p) for p in system.moduli))
     else:

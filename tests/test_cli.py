@@ -193,6 +193,55 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert record["results"]["mismatches"][0]["observed"]["available"] == "6"
 
 
+FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason",
+    [
+        (("count", "--primes", "4,3"), 2, "modulus 4 is not prime"),
+        (("count", "--primes", ","), 2, "at least one modulus is required"),
+        (("det", "--first-k", "8", "--which", "free", "--method", "laplace"), 2,
+         "limited to dimension 8, got 9"),
+        (("verify", "--primes", "2,3", "--trials", "0"), 2, "trials must be >= 1"),
+        (("verify", "--primes", "2,3", "--threads", "-1"), 2, "threads must be >= 0"),
+        (("verify", "--primes", "2,3", "--limit", "0"), 2, "product_limit must be >= 1"),
+        (("verify", "--primes", "2,3,5", "--limit", "10"), 3,
+         "product 30 exceeds sieve limit 10"),
+        (("verify", "--primes", "3,5,7,11,13,17,19", "--exhaustive"), 3,
+         "exceed the exhaustive budget"),
+        (("verify", "--primes", "2,3,5,7,11,13,17", "--exhaustive"), 3,
+         "260620460100 integers to sieve exceed the exhaustive budget"),
+        (("count", "--first-k", FOUR_HUNDRED_ONE_DIGITS), 3, "first-primes limit"),
+        (("oeis", "--sequence", "A005867", "--terms", FOUR_HUNDRED_ONE_DIGITS), 3,
+         "first-primes limit"),
+    ],
+    ids=[
+        "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
+        "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
+        "first-k-401-digits", "terms-401-digits",
+    ],
+)
+def test_refusal_is_one_error_line(capsys, argv, code, reason):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_4_in_one_line(capsys, monkeypatch):
+    def broken(args, system):
+        raise KeyError("histogram")
+
+    monkeypatch.setitem(cli._RUNNERS, "count", broken)
+    code, out, err = run(capsys, "count", "--primes", "2,3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: KeyError: 'histogram'\n"
+
+
 def test_oeis_bfile_bytes(capsys):
     code, out, _ = run(
         capsys, "oeis", "--sequence", "A005867", "--terms", "5", "--bfile"

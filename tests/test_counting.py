@@ -5,6 +5,7 @@ import pytest
 
 from apcover.core import assign_residues, gamma, validate_modulus_system
 from apcover.counting import (
+    MAX_FIRST_PRIMES,
     SequenceTable,
     coverage_counts,
     exact_coverage_histogram,
@@ -20,6 +21,7 @@ from apcover.determinant import (
     det_bareiss,
     free_det,
 )
+from apcover.errors import ResourceLimitError
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -126,6 +128,15 @@ def test_first_primes():
     assert primes[-1] == 1987
     with pytest.raises(ValueError):
         first_primes(0)
+
+
+def test_first_primes_limit():
+    assert first_primes(20000)[-1] == 224737
+    with pytest.raises(ResourceLimitError, match="first-primes limit"):
+        first_primes(MAX_FIRST_PRIMES + 1)
+    # refused before the float Rosser bound, which overflows here
+    with pytest.raises(ResourceLimitError, match="first-primes limit"):
+        first_primes(10**400)
 
 
 def test_oeis_a067549_golden():

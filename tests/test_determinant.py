@@ -13,7 +13,7 @@ from apcover.determinant import (
     det_laplace,
     free_det,
 )
-from apcover.errors import DimensionTooLargeError
+from apcover.errors import ValidationError
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -80,7 +80,7 @@ def test_det_laplace_golden():
 
 def test_det_laplace_dimension_cap():
     nine = IntegerMatrix(dimension=9, entries=tuple(range(81)))
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(ValidationError, match="limited to dimension 8, got 9"):
         det_laplace(nine)
 
 

@@ -5,7 +5,7 @@ import pytest
 import apcover.oracle as oracle
 from apcover.core import assign_residues, gamma, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
-from apcover.errors import ProductTooLargeError, TooManyAssignmentsError
+from apcover.errors import ResourceLimitError
 from apcover.oracle import (
     SieveConfig,
     oracle_counts,
@@ -91,7 +91,7 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
 
 def test_product_limit_refusal():
     s = system([2, 3, 5])
-    with pytest.raises(ProductTooLargeError):
+    with pytest.raises(ResourceLimitError, match="product 30 exceeds sieve limit 10"):
         sieve_histogram(s, assign_residues(s, [0, 0, 0]), SieveConfig(product_limit=10))
 
 
@@ -138,7 +138,16 @@ def test_independence_deterministic_given_seed():
 
 def test_independence_exhaustive_budget():
     s = system([3, 5, 7, 11, 13, 17, 19])  # 4849845 assignments
-    with pytest.raises(TooManyAssignmentsError):
+    with pytest.raises(ResourceLimitError, match="exceed the exhaustive budget"):
+        residue_independence_check(s, exhaustive=True)
+
+
+def test_exhaustive_budget_counts_integers_sieved(monkeypatch):
+    s = system([2, 3, 5])  # 30 assignments of 30 integers each
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_SIEVE_BUDGET", 900)
+    assert residue_independence_check(s, exhaustive=True).assignments_tested == 30
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_SIEVE_BUDGET", 899)
+    with pytest.raises(ResourceLimitError, match="900 integers to sieve exceed"):
         residue_independence_check(s, exhaustive=True)
 
 
