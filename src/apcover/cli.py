@@ -11,6 +11,13 @@ byte-identical across runs and thread counts; wall-clock timing is only
 included when --timing is passed (and inside bench rows, whose point is
 the measurement).
 
+Each ``_run_<command>`` returns ``(inputs, results, rows, exit_code)``: its
+own inputs and results as JSON values with integers already in decimal,
+and ``rows``, its CSV table, header first. ``main`` alone writes output:
+JSON adds ``command``, the moduli inputs and ``timing_ms``; CSV joins each
+row with commas; ``oeis --bfile`` (whatever ``--format``) joins the rows
+after the header with spaces.
+
 Exit codes: 0 success/verified, 1 verification mismatch, 2 invalid input,
 3 resource refusal, 4 internal error. Every integer is printed in full,
 however many digits.
@@ -50,6 +57,9 @@ EXIT_INVALID = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
+# what every _run_* returns; see the module docstring
+Output = tuple[dict[str, Any], dict[str, Any], list[list[str]], int]
+
 
 def _parse_moduli(text: str) -> list[int]:
     try:
@@ -86,7 +96,8 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timing",
         action="store_true",
-        help="include wall-clock timing_ms in the record (breaks byte-for-byte determinism)",
+        help="include wall-clock timing_ms in JSON output; CSV and b-file omit it "
+        "(breaks byte-for-byte determinism)",
     )
 
 
@@ -158,24 +169,23 @@ def _str_counts(counts) -> dict[str, str]:
     }
 
 
-def _run_count(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
-    counts = coverage_counts(system)
-    histogram = exact_coverage_histogram(system)
-    record = {
-        "command": "count",
-        "inputs": {
-            "moduli": [str(m) for m in system.moduli],
-            "coprime": system.coprime_mode,
-        },
-        "results": {
-            **_str_counts(counts),
-            "histogram": [str(c) for c in histogram.counts],
-        },
-    }
-    return record, EXIT_OK
+def _table(records: list[dict[str, Any]]) -> list[list[str]]:
+    """CSV rows, header first, of flat records (bools as true/false, None empty)."""
+    return [list(records[0])] + [
+        ["" if v is None else str(v).lower() if isinstance(v, bool) else v
+         for v in record.values()]
+        for record in records
+    ]
 
 
-def _run_det(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
+def _run_count(args: argparse.Namespace, system: ModulusSystem) -> Output:
+    counts = _str_counts(coverage_counts(system))
+    histogram = [str(c) for c in exact_coverage_histogram(system).counts]
+    rows = _table([{**counts, **{f"j{j}": c for j, c in enumerate(histogram)}}])
+    return {}, {**counts, "histogram": histogram}, rows, EXIT_OK
+
+
+def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
     if args.method == "recurrence":
         value = available_det(system) if args.which == "available" else free_det(system)
     else:
@@ -185,20 +195,12 @@ def _run_det(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str,
         else:
             raw = evaluate(build_free_matrix(system))
             value = raw if system.k % 2 == 0 else -raw
-    record = {
-        "command": "det",
-        "inputs": {
-            "moduli": [str(m) for m in system.moduli],
-            "coprime": system.coprime_mode,
-            "which": args.which,
-            "method": args.method,
-        },
-        "results": {"value": str(value)},
-    }
-    return record, EXIT_OK
+    inputs = {"which": args.which, "method": args.method}
+    value = str(value)
+    return inputs, {"value": value}, _table([{**inputs, "value": value}]), EXIT_OK
 
 
-def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[str, Any], int]:
+def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
     config = SieveConfig(product_limit=args.limit, threads=args.threads)
     report = residue_independence_check(
         system,
@@ -207,34 +209,34 @@ def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> tuple[dict[s
         config=config,
         exhaustive=args.exhaustive,
     )
-    record = {
-        "command": "verify",
-        "inputs": {
-            "moduli": [str(m) for m in system.moduli],
-            "coprime": system.coprime_mode,
-            "trials": str(args.trials),
-            "seed": str(args.seed),
-            "exhaustive": args.exhaustive,
-            "limit": str(args.limit),
-        },
-        "results": {
-            "mode": "exhaustive" if args.exhaustive else "random",
-            "assignments_tested": str(report.assignments_tested),
-            "all_match": report.all_match,
-            "expected": _str_counts(report.expected),
-            "mismatches": [
-                {
-                    "residues": [str(r) for r in residues],
-                    "observed": _str_counts(observed),
-                }
-                for residues, observed in report.mismatches
-            ],
-        },
+    inputs = {
+        "trials": str(args.trials),
+        "seed": str(args.seed),
+        "exhaustive": args.exhaustive,
+        "limit": str(args.limit),
     }
-    return record, EXIT_OK if report.all_match else EXIT_MISMATCH
+    summary = {
+        "mode": "exhaustive" if args.exhaustive else "random",
+        "assignments_tested": str(report.assignments_tested),
+        "all_match": report.all_match,
+    }
+    expected = _str_counts(report.expected)
+    results = {
+        **summary,
+        "expected": expected,
+        "mismatches": [
+            {
+                "residues": [str(r) for r in residues],
+                "observed": _str_counts(observed),
+            }
+            for residues, observed in report.mismatches
+        ],
+    }
+    rows = _table([{**summary, **expected}])
+    return inputs, results, rows, EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
-def _run_oeis(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any], int]:
+def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
     if args.terms < 1:
         raise ValidationError("--terms must be >= 1")
     table = (
@@ -242,15 +244,9 @@ def _run_oeis(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any], 
         if args.sequence == "A067549"
         else oeis_a005867(args.terms)
     )
-    record: dict[str, Any] = {
-        "command": "oeis",
-        "inputs": {"sequence": table.name, "terms": str(args.terms)},
-    }
-    if args.bfile:
-        record["_text"] = "".join(line + "\n" for line in table.bfile_lines())
-    else:
-        record["results"] = {"terms": [[str(i), str(v)] for i, v in table.terms]}
-    return record, EXIT_OK
+    terms = [[str(i), str(v)] for i, v in table.terms]
+    inputs = {"sequence": table.name, "terms": str(args.terms)}
+    return inputs, {"terms": terms}, [["index", "value"], *terms], EXIT_OK
 
 
 def _time_best(fn, repeat: int) -> tuple[float, Any]:
@@ -265,18 +261,18 @@ def _time_best(fn, repeat: int) -> tuple[float, Any]:
     return best, result
 
 
-def _run_bench(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any], int]:
+def _run_bench(args: argparse.Namespace, _system: None) -> Output:
     if args.kmax < 2:
         raise ValidationError("--kmax must be >= 2")
     if args.repeat < 1:
         raise ValidationError("--repeat must be >= 1")
     primes = first_primes(args.kmax)
-    rows = []
+    records = []
     bareiss_alive = True
     for k in range(1, args.kmax + 1):
         system = validate_modulus_system(primes[:k])
         rec_ms, rec_value = _time_best(lambda: available_det(system), args.repeat)
-        row: dict[str, Any] = {"k": str(k), "recurrence_ms": f"{rec_ms:.3f}"}
+        record: dict[str, Any] = {"k": str(k), "recurrence_ms": f"{rec_ms:.3f}"}
         if bareiss_alive:
             matrix = build_available_matrix(system)
             bar_ms, bar_value = _time_best(lambda: det_bareiss(matrix), 1)
@@ -284,24 +280,20 @@ def _run_bench(args: argparse.Namespace, _system: None) -> tuple[dict[str, Any],
                 # only spend repeats on cases that fit the budget
                 extra_ms, _ = _time_best(lambda: det_bareiss(matrix), args.repeat - 1)
                 bar_ms = min(bar_ms, extra_ms)
-            row["bareiss_ms"] = f"{bar_ms:.3f}"
-            row["agree"] = bar_value == rec_value
+            record["bareiss_ms"] = f"{bar_ms:.3f}"
+            record["agree"] = bar_value == rec_value
             if bar_ms > args.timeout_ms:
                 bareiss_alive = False
         else:
-            row["bareiss_ms"] = "skipped (timeout)"
-            row["agree"] = None
-        rows.append(row)
-    record = {
-        "command": "bench",
-        "inputs": {
-            "kmax": str(args.kmax),
-            "repeat": str(args.repeat),
-            "timeout_ms": f"{args.timeout_ms:.3f}",
-        },
-        "results": {"rows": rows},
+            record["bareiss_ms"] = "skipped (timeout)"
+            record["agree"] = None
+        records.append(record)
+    inputs = {
+        "kmax": str(args.kmax),
+        "repeat": str(args.repeat),
+        "timeout_ms": f"{args.timeout_ms:.3f}",
     }
-    return record, EXIT_OK
+    return inputs, {"rows": records}, _table(records), EXIT_OK
 
 
 _RUNNERS = {
@@ -311,50 +303,6 @@ _RUNNERS = {
     "oeis": _run_oeis,
     "bench": _run_bench,
 }
-
-
-def _render_csv(record: dict[str, Any]) -> str:
-    command = record["command"]
-    results = record["results"]
-    if command == "count":
-        histogram = results["histogram"]
-        header = ["available", "free", "occupied", "product"]
-        header += [f"j{j}" for j in range(len(histogram))]
-        values = [results[c] for c in header[:4]] + list(histogram)
-        return ",".join(header) + "\n" + ",".join(values) + "\n"
-    if command == "det":
-        inputs = record["inputs"]
-        return "which,method,value\n" + ",".join(
-            [inputs["which"], inputs["method"], results["value"]]
-        ) + "\n"
-    if command == "verify":
-        expected = results["expected"]
-        header = "mode,assignments_tested,all_match,available,free,occupied,product\n"
-        row = ",".join(
-            [
-                results["mode"],
-                results["assignments_tested"],
-                str(results["all_match"]).lower(),
-                expected["available"],
-                expected["free"],
-                expected["occupied"],
-                expected["product"],
-            ]
-        )
-        return header + row + "\n"
-    if command == "oeis":
-        lines = ["index,value"]
-        lines += [",".join(pair) for pair in results["terms"]]
-        return "\n".join(lines) + "\n"
-    if command == "bench":
-        lines = ["k,recurrence_ms,bareiss_ms,agree"]
-        for row in results["rows"]:
-            agree = "" if row["agree"] is None else str(row["agree"]).lower()
-            lines.append(
-                ",".join([row["k"], row["recurrence_ms"], row["bareiss_ms"], agree])
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"no csv layout for {command}")
 
 
 @contextlib.contextmanager
@@ -379,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         # --primes is parsed under the digit limit; only the work and its output are not
         system = _system_from_args(args) if "primes" in args else None
         with _exact_decimals():
-            record, exit_code = _RUNNERS[args.command](args, system)
+            inputs, results, rows, exit_code = _RUNNERS[args.command](args, system)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -391,14 +339,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    text = record.pop("_text", None)
-    if text is not None:
-        sys.stdout.write(text)
-        return exit_code
-    record["timing_ms"] = f"{elapsed_ms:.3f}" if args.timing else None
-    if args.format == "csv":
-        sys.stdout.write(_render_csv(record))
+    if getattr(args, "bfile", False):
+        sys.stdout.write("".join(" ".join(row) + "\n" for row in rows[1:]))
+    elif args.format == "csv":
+        sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
     else:
+        if system is not None:
+            moduli = [str(m) for m in system.moduli]
+            inputs = {"moduli": moduli, "coprime": system.coprime_mode, **inputs}
+        record = {
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "timing_ms": f"{elapsed_ms:.3f}" if args.timing else None,
+        }
         sys.stdout.write(json.dumps(record, indent=2) + "\n")
     return exit_code
 

@@ -80,6 +80,23 @@ def test_count_csv(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("det", "--primes", "2,3,5", "--which", "free", "--method", "bareiss"),
+         "which,method,value\nfree,bareiss,8\n"),
+        (("verify", "--primes", "2,3,5", "--exhaustive"),
+         "mode,assignments_tested,all_match,available,free,occupied,product\n"
+         "exhaustive,30,true,22,8,8,30\n"),
+        # --bfile wins over --format csv
+        (("oeis", "--sequence", "A005867", "--terms", "3", "--bfile"), "1 1\n2 2\n3 8\n"),
+    ],
+    ids=["det", "verify", "oeis-bfile"],
+)
+def test_csv_bytes(capsys, argv, expected):
+    assert run(capsys, *argv, "--format", "csv") == (0, expected, "")
+
+
+@pytest.mark.parametrize(
     "method,which,expected",
     [
         ("recurrence", "available", "1448"),
@@ -191,6 +208,9 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert record["results"]["all_match"] is False
     assert record["results"]["mismatches"][0]["observed"]["available"] == "6"
+    code, out, _ = run(capsys, "verify", "--primes", "2,3", "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1] == "random,1,false,5,2,1,6"
 
 
 FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
@@ -215,11 +235,21 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("count", "--first-k", FOUR_HUNDRED_ONE_DIGITS), 3, "first-primes limit"),
         (("oeis", "--sequence", "A005867", "--terms", FOUR_HUNDRED_ONE_DIGITS), 3,
          "first-primes limit"),
+        (("verify", "--first-k", "9", "--trials", "1000000"), 3,
+         "223092870000000 integers to sieve exceed the random budget 10000000000"),
+        (("verify", "--first-k", "25", "--limit", str(10**40), "--trials", "1"), 3,
+         "2305567963945518424753102147331756070 integers to sieve exceed the random budget"),
+        (("verify", "--first-k", "16", "--limit", str(10**20)), 3,
+         "651783169543800894600 integers to sieve exceed the random budget"),
+        # the window limit is checked before the budget, in both modes
+        (("verify", "--first-k", "10", "--exhaustive"), 3,
+         "product 6469693230 exceeds sieve limit 1000000000"),
     ],
     ids=[
         "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
         "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
-        "first-k-401-digits", "terms-401-digits",
+        "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
+        "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
     ],
 )
 def test_refusal_is_one_error_line(capsys, argv, code, reason):
@@ -321,6 +351,15 @@ def test_bench_timeout_skips_later_bareiss_rows(capsys):
     assert rows[0]["agree"] is True
     assert all(r["bareiss_ms"] == "skipped (timeout)" for r in rows[1:])
     assert all(r["agree"] is None for r in rows[1:])
+    code, out, _ = run(
+        capsys, "bench", "--kmax", "5", "--repeat", "1", "--timeout-ms", "0.000001",
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].endswith(",true")
+    assert all(line.endswith(",skipped (timeout),") for line in lines[2:])
+    assert len(lines) == 6
 
 
 def test_bench_rejects_kmax_below_2(capsys):

@@ -144,11 +144,20 @@ def test_independence_exhaustive_budget():
 
 def test_exhaustive_budget_counts_integers_sieved(monkeypatch):
     s = system([2, 3, 5])  # 30 assignments of 30 integers each
-    monkeypatch.setattr(oracle, "EXHAUSTIVE_SIEVE_BUDGET", 900)
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 900)
     assert residue_independence_check(s, exhaustive=True).assignments_tested == 30
-    monkeypatch.setattr(oracle, "EXHAUSTIVE_SIEVE_BUDGET", 899)
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 899)
     with pytest.raises(ResourceLimitError, match="900 integers to sieve exceed"):
         residue_independence_check(s, exhaustive=True)
+
+
+def test_random_budget_counts_integers_sieved(monkeypatch):
+    s = system([2, 3, 5])  # 7 trials of 30 integers each
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 210)
+    assert residue_independence_check(s, trials=7).assignments_tested == 7
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 209)
+    with pytest.raises(ResourceLimitError, match="210 integers to sieve exceed the random"):
+        residue_independence_check(s, trials=7)
 
 
 def test_independence_matches_prediction_from_recurrences():
