@@ -10,15 +10,12 @@ associated matrices, and by a brute-force sieve, all of which must agree.
 from .core import (
     CoverageCounts,
     ModulusSystem,
-    ResidueAssignment,
     assign_residues,
     gamma,
     is_prime,
     validate_modulus_system,
 )
 from .counting import (
-    CoverageHistogram,
-    SequenceTable,
     coverage_counts,
     exact_coverage_histogram,
     first_primes,
@@ -49,13 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ApcoverError",
     "CoverageCounts",
-    "CoverageHistogram",
     "IndependenceReport",
     "IntegerMatrix",
     "ModulusSystem",
-    "ResidueAssignment",
     "ResourceLimitError",
-    "SequenceTable",
     "SieveConfig",
     "ValidationError",
     "assign_residues",

@@ -41,6 +41,7 @@ from .counting import (
     oeis_a067549,
 )
 from .determinant import (
+    MAX_MATRIX_DIMENSION,
     available_det,
     build_available_matrix,
     build_free_matrix,
@@ -180,7 +181,7 @@ def _table(records: list[dict[str, Any]]) -> list[list[str]]:
 
 def _run_count(args: argparse.Namespace, system: ModulusSystem) -> Output:
     counts = _str_counts(coverage_counts(system))
-    histogram = [str(c) for c in exact_coverage_histogram(system).counts]
+    histogram = [str(c) for c in exact_coverage_histogram(system)]
     rows = _table([{**counts, **{f"j{j}": c for j, c in enumerate(histogram)}}])
     return {}, {**counts, "histogram": histogram}, rows, EXIT_OK
 
@@ -239,13 +240,13 @@ def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
 def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
     if args.terms < 1:
         raise ValidationError("--terms must be >= 1")
-    table = (
+    values = (
         oeis_a067549(args.terms)
         if args.sequence == "A067549"
         else oeis_a005867(args.terms)
     )
-    terms = [[str(i), str(v)] for i, v in table.terms]
-    inputs = {"sequence": table.name, "terms": str(args.terms)}
+    terms = [[str(i), str(v)] for i, v in enumerate(values, start=1)]
+    inputs = {"sequence": args.sequence, "terms": str(args.terms)}
     return inputs, {"terms": terms}, [["index", "value"], *terms], EXIT_OK
 
 
@@ -268,12 +269,14 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
         raise ValidationError("--repeat must be >= 1")
     primes = first_primes(args.kmax)
     records = []
-    bareiss_alive = True
+    skipped = None  # why Bareiss is skipped from this k on
     for k in range(1, args.kmax + 1):
         system = validate_modulus_system(primes[:k])
         rec_ms, rec_value = _time_best(lambda: available_det(system), args.repeat)
         record: dict[str, Any] = {"k": str(k), "recurrence_ms": f"{rec_ms:.3f}"}
-        if bareiss_alive:
+        if skipped is None and k > MAX_MATRIX_DIMENSION:
+            skipped = "skipped (size limit)"
+        if skipped is None:
             matrix = build_available_matrix(system)
             bar_ms, bar_value = _time_best(lambda: det_bareiss(matrix), 1)
             if bar_ms <= args.timeout_ms and args.repeat > 1:
@@ -283,9 +286,9 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
             record["bareiss_ms"] = f"{bar_ms:.3f}"
             record["agree"] = bar_value == rec_value
             if bar_ms > args.timeout_ms:
-                bareiss_alive = False
+                skipped = "skipped (timeout)"
         else:
-            record["bareiss_ms"] = "skipped (timeout)"
+            record["bareiss_ms"] = skipped
             record["agree"] = None
         records.append(record)
     inputs = {

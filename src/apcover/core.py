@@ -2,9 +2,10 @@
 
 A modulus system is an ordered sequence of pairwise-distinct moduli
 (primes by default, pairwise-coprime integers behind an explicit flag)
-whose product defines the counting window [1, product]. An assignment
-picks one residue class per modulus; ``gamma`` is the per-integer
-coverage multiplicity: in how many of the chosen classes an integer lies.
+whose product defines the counting window [1, product]. An assignment,
+a plain tuple of residues, picks one residue class per modulus; ``gamma``
+is the per-integer coverage multiplicity: in how many of the chosen
+classes an integer lies.
 
 Everything here is immutable after construction and all functions are
 pure, so concurrent use needs no coordination.
@@ -64,13 +65,6 @@ class ModulusSystem:
 
 
 @dataclass(frozen=True)
-class ResidueAssignment:
-    """One residue per modulus, each reduced into [0, p_i)."""
-
-    residues: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CoverageCounts:
     """Exact window counts: gamma = 0 (free), <= 1 (available), >= 2 (occupied)."""
 
@@ -124,26 +118,22 @@ def validate_modulus_system(
     return ModulusSystem(moduli=ms, product=math.prod(ms), coprime_mode=coprime_mode)
 
 
-def assign_residues(
-    system: ModulusSystem, residues: Iterable[int]
-) -> ResidueAssignment:
-    """Build an assignment for ``system``, reducing each residue mod its modulus."""
+def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int, ...]:
+    """One residue per modulus of ``system``, each reduced into [0, p_i).
+
+    Every function that takes residues passes them through here, so any
+    sequence of integers of the right length, unreduced or negative, is a
+    valid assignment.
+    """
     rs = tuple(int(r) for r in residues)
     if len(rs) != system.k:
-        raise ValidationError(
-            f"expected {system.k} residues, got {len(rs)}"
-        )
-    return ResidueAssignment(tuple(r % p for r, p in zip(rs, system.moduli)))
+        raise ValidationError(f"expected {system.k} residues, got {len(rs)}")
+    return tuple(r % p for r, p in zip(rs, system.moduli))
 
 
-def gamma(system: ModulusSystem, assignment: ResidueAssignment, n: int) -> int:
+def gamma(system: ModulusSystem, residues: Iterable[int], n: int) -> int:
     """Number of chosen residue classes containing n, for n in [1, product]."""
     if not 1 <= n <= system.product:
         raise ValidationError(f"{n} lies outside [1, {system.product}]")
-    if len(assignment.residues) != system.k:
-        raise ValidationError(
-            f"assignment has {len(assignment.residues)} residues for {system.k} moduli"
-        )
-    return sum(
-        1 for p, r in zip(system.moduli, assignment.residues) if n % p == r % p
-    )
+    reduced = assign_residues(system, residues)
+    return sum(1 for p, r in zip(system.moduli, reduced) if n % p == r)

@@ -1,4 +1,4 @@
-"""Counting recurrences, the full coverage histogram, and sequence tables.
+"""Counting recurrences, the full coverage histogram, and sequence terms.
 
 The headline identities: for any system of k pairwise-coprime moduli and
 ANY choice of residue classes, the window [1, product] contains exactly
@@ -13,46 +13,12 @@ covered/uncovered patterns occurs for exactly prod-over-uncovered
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import CoverageCounts, ModulusSystem
 from .determinant import coverage_polynomial, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
 MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
-
-
-@dataclass(frozen=True)
-class CoverageHistogram:
-    """counts[j] = number of integers n in [1, product] with gamma(n) = j."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class SequenceTable:
-    """Consecutive terms of a named integer sequence, indexed from 1."""
-
-    name: str
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for position, (index, value) in enumerate(self.terms, start=1):
-            if index != position:
-                raise ValueError(f"indices must run 1..n, found {index} at {position}")
-            if value <= 0:
-                raise ValueError(f"term {index} is not strictly positive: {value}")
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.terms)
-
-    def bfile_lines(self) -> list[str]:
-        """Lines in OEIS b-file format: "index value", index from 1."""
-        return [f"{i} {v}" for i, v in self.terms]
 
 
 def coverage_counts(system: ModulusSystem) -> CoverageCounts:
@@ -85,13 +51,13 @@ def occ_recurrence(system: ModulusSystem) -> int:
     return occ
 
 
-def exact_coverage_histogram(system: ModulusSystem) -> CoverageHistogram:
-    """Counts of integers at every coverage multiplicity j = 0..k.
+def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
+    """Entry j counts the integers in [1, product] covered exactly j times, j = 0..k.
 
     The whole polynomial prod_i ((p_i - 1) + x), in O(k^2) exact
     big-integer operations.
     """
-    return CoverageHistogram(counts=coverage_polynomial(system.moduli, system.k))
+    return coverage_polynomial(system.moduli, system.k)
 
 
 def first_primes(count: int) -> list[int]:
@@ -115,19 +81,16 @@ def first_primes(count: int) -> list[int]:
     return primes[:count]
 
 
-def _sequence_over_first_primes(name: str, n_terms: int, degree: int) -> SequenceTable:
+def _sequence_over_first_primes(n_terms: int, degree: int) -> tuple[int, ...]:
     """Sum of the coefficients up to x^degree, over each prefix of the first primes."""
-    prefixes = coverage_polynomials(first_primes(n_terms), degree)
-    return SequenceTable(
-        name=name, terms=tuple((t, sum(c)) for t, c in enumerate(prefixes, start=1))
-    )
+    return tuple(sum(c) for c in coverage_polynomials(first_primes(n_terms), degree))
 
 
-def oeis_a067549(n_terms: int) -> SequenceTable:
+def oeis_a067549(n_terms: int) -> tuple[int, ...]:
     """Available-count determinants over the first k primes, k = 1..n_terms."""
-    return _sequence_over_first_primes("A067549", n_terms, degree=1)
+    return _sequence_over_first_primes(n_terms, degree=1)
 
 
-def oeis_a005867(n_terms: int) -> SequenceTable:
-    """Free-count determinants over the first k primes: prod (p_i - 1)."""
-    return _sequence_over_first_primes("A005867", n_terms, degree=0)
+def oeis_a005867(n_terms: int) -> tuple[int, ...]:
+    """Free-count determinants over the first k primes, k = 1..n_terms: prod (p_i - 1)."""
+    return _sequence_over_first_primes(n_terms, degree=0)

@@ -75,8 +75,8 @@ def sample_small_prime_systems(count=50, seed=20260808, max_product=10**7):
 
 def test_criterion_1_oeis_golden_values():
     with criterion(1, "first five terms of both sequences, under 1 ms"):
-        assert oeis_a067549(5).values() == (2, 5, 22, 140, 1448)
-        assert oeis_a005867(5).values() == (1, 2, 8, 48, 480)
+        assert oeis_a067549(5) == (2, 5, 22, 140, 1448)
+        assert oeis_a005867(5) == (1, 2, 8, 48, 480)
         runtime = best_of(3, lambda: (oeis_a067549(5), oeis_a005867(5)))
         assert runtime < 0.001, f"took {runtime * 1000.0:.3f} ms"
 
@@ -162,8 +162,7 @@ def test_criterion_6_histogram_identity():
             validate_modulus_system(first_primes(k)) for k in range(1, 8)
         ]
         for system in systems:
-            expected = exact_coverage_histogram(system)
-            counts = expected.counts
+            counts = exact_coverage_histogram(system)
             assert sum(counts) == system.product
             assert counts[0] == free_det(system)
             assert counts[0] + counts[1] == available_det(system)
@@ -174,7 +173,7 @@ def test_criterion_6_histogram_identity():
                 assignment = assign_residues(
                     system, [rng.randrange(p) for p in system.moduli]
                 )
-                assert sieve_histogram(system, assignment) == expected
+                assert sieve_histogram(system, assignment) == counts
 
 
 def test_criterion_7_cross_oracle_determinants():
@@ -182,8 +181,9 @@ def test_criterion_7_cross_oracle_determinants():
         rng = random.Random(727272)
         for _ in range(200):
             dim = rng.randint(1, 6)
-            entries = tuple(rng.randint(-9, 9) for _ in range(dim * dim))
-            matrix = IntegerMatrix(dimension=dim, entries=entries)
+            matrix = IntegerMatrix(tuple(
+                tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(dim)
+            ))
             assert det_laplace(matrix) == det_bareiss(matrix)
 
 

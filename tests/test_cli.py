@@ -244,12 +244,20 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         # the window limit is checked before the budget, in both modes
         (("verify", "--first-k", "10", "--exhaustive"), 3,
          "product 6469693230 exceeds sieve limit 1000000000"),
+        # each sieve call is charged at least SIEVE_CALL_INTEGERS = 4096 integers
+        (("verify", "--primes", "2,3", "--trials", "1000000000"), 3,
+         "4096000000000 integers to sieve exceed the random budget 10000000000"),
+        (("det", "--first-k", "30000", "--which", "available", "--method", "bareiss"), 3,
+         "matrix dimension 30000 exceeds the limit 300"),
+        (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
+         "matrix dimension 301 exceeds the limit 300"),
     ],
     ids=[
         "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
         "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
         "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
+        "random-call-minimum", "bareiss-dimension-30000", "free-dimension-301",
     ],
 )
 def test_refusal_is_one_error_line(capsys, argv, code, reason):
@@ -360,6 +368,16 @@ def test_bench_timeout_skips_later_bareiss_rows(capsys):
     assert lines[1].endswith(",true")
     assert all(line.endswith(",skipped (timeout),") for line in lines[2:])
     assert len(lines) == 6
+
+
+def test_bench_skips_bareiss_past_the_matrix_size_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_MATRIX_DIMENSION", 3)
+    code, record, _ = run_json(capsys, "bench", "--kmax", "5", "--repeat", "1")
+    assert code == 0
+    rows = record["results"]["rows"]
+    assert all(r["agree"] is True for r in rows[:3])
+    assert all(r["bareiss_ms"] == "skipped (size limit)" for r in rows[3:])
+    assert all(r["agree"] is None for r in rows[3:])
 
 
 def test_bench_rejects_kmax_below_2(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from apcover.core import (
     CoverageCounts,
-    ResidueAssignment,
     assign_residues,
     gamma,
     is_prime,
@@ -79,8 +78,7 @@ def test_is_prime_on_composites(n):
 
 def test_assign_residues_normalizes():
     system = validate_modulus_system([2, 3])
-    assignment = assign_residues(system, [7, -1])
-    assert assignment.residues == (1, 2)
+    assert assign_residues(system, [7, -1]) == (1, 2)
 
 
 def test_assign_residues_length_check():
@@ -148,6 +146,6 @@ def test_coverage_counts_invariants_enforced():
 def test_gamma_accepts_unreduced_direct_assignment():
     # residue classes are classes, not representatives
     system = validate_modulus_system([2, 3])
-    raw = ResidueAssignment((4, 5))  # classes 0 mod 2 and 2 mod 3
+    raw = (4, 5)  # classes 0 mod 2 and 2 mod 3
     assert gamma(system, raw, 6) == 1
     assert gamma(system, raw, 2) == 2

@@ -23,78 +23,79 @@ def system(moduli, coprime=False):
 
 
 def test_integer_matrix_shape_validation():
-    IntegerMatrix(dimension=2, entries=(1, 2, 3, 4))
+    assert IntegerMatrix(((1, 2), (3, 4))).dimension == 2
     with pytest.raises(ValueError):
-        IntegerMatrix(dimension=2, entries=(1, 2, 3))
+        IntegerMatrix(((1, 2), (3,)))
     with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1, 2], [3]])
+        IntegerMatrix(((1, 2),))
 
 
 def test_build_available_matrix():
-    assert build_available_matrix(system([2, 3])).rows() == [[2, 1], [1, 3]]
-    assert build_available_matrix(system([2])).rows() == [[2]]
-    assert build_available_matrix(system([3, 5, 7])).rows() == [
-        [3, 1, 1],
-        [1, 5, 1],
-        [1, 1, 7],
-    ]
+    assert build_available_matrix(system([2, 3])).rows == ((2, 1), (1, 3))
+    assert build_available_matrix(system([2])).rows == ((2,),)
+    assert build_available_matrix(system([3, 5, 7])).rows == (
+        (3, 1, 1),
+        (1, 5, 1),
+        (1, 1, 7),
+    )
 
 
 def test_build_free_matrix():
-    assert build_free_matrix(system([2, 3])).rows() == [
-        [1, 1, 1],
-        [2, 1, 1],
-        [1, 3, 1],
-    ]
-    assert build_free_matrix(system([2])).rows() == [[1, 1], [2, 1]]
-    assert build_free_matrix(system([3, 5, 7])).rows() == [
-        [1, 1, 1, 1],
-        [3, 1, 1, 1],
-        [1, 5, 1, 1],
-        [1, 1, 7, 1],
-    ]
+    assert build_free_matrix(system([2, 3])).rows == (
+        (1, 1, 1),
+        (2, 1, 1),
+        (1, 3, 1),
+    )
+    assert build_free_matrix(system([2])).rows == ((1, 1), (2, 1))
+    assert build_free_matrix(system([3, 5, 7])).rows == (
+        (1, 1, 1, 1),
+        (3, 1, 1, 1),
+        (1, 5, 1, 1),
+        (1, 1, 7, 1),
+    )
 
 
 def test_det_bareiss_golden():
-    identity = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = IntegerMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert det_bareiss(identity) == 1
     assert det_bareiss(build_available_matrix(system([2, 3, 5]))) == 22
     assert det_bareiss(build_free_matrix(system([2, 3]))) == 2
 
 
 def test_det_bareiss_singular_and_pivoting():
-    assert det_bareiss(IntegerMatrix.from_rows([[1, 2], [2, 4]])) == 0
-    assert det_bareiss(IntegerMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det_bareiss(IntegerMatrix.from_rows([[0, 0], [0, 0]])) == 0
+    assert det_bareiss(IntegerMatrix(((1, 2), (2, 4)))) == 0
+    assert det_bareiss(IntegerMatrix(((0, 1), (1, 0)))) == -1
+    assert det_bareiss(IntegerMatrix(((0, 0), (0, 0)))) == 0
     # zero pivot mid-elimination forces a row swap
-    m = IntegerMatrix.from_rows([[1, 1, 1], [1, 1, 2], [1, 2, 1]])
+    m = IntegerMatrix(((1, 1, 1), (1, 1, 2), (1, 2, 1)))
     assert det_bareiss(m) == det_laplace(m) == -1
 
 
 def test_det_laplace_golden():
-    assert det_laplace(IntegerMatrix.from_rows([[2, 1], [1, 3]])) == 5
-    assert det_laplace(IntegerMatrix.from_rows([[17]])) == 17
+    assert det_laplace(IntegerMatrix(((2, 1), (1, 3)))) == 5
+    assert det_laplace(IntegerMatrix(((17,),))) == 17
     # raw bordered determinant carries the (-1)^k sign
     assert det_laplace(build_free_matrix(system([2, 3, 5]))) == -8
 
 
 def test_det_laplace_dimension_cap():
-    nine = IntegerMatrix(dimension=9, entries=tuple(range(81)))
+    nine = IntegerMatrix(tuple(tuple(range(9 * i, 9 * i + 9)) for i in range(9)))
     with pytest.raises(ValidationError, match="limited to dimension 8, got 9"):
         det_laplace(nine)
+
+
+def random_matrix(rng, dim):
+    return IntegerMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(dim)))
 
 
 def test_laplace_equals_bareiss_on_random_matrices():
     rng = random.Random(7)
     for _ in range(60):
-        dim = rng.randint(1, 6)
-        entries = tuple(rng.randint(-9, 9) for _ in range(dim * dim))
-        m = IntegerMatrix(dimension=dim, entries=entries)
+        m = random_matrix(rng, rng.randint(1, 6))
         assert det_laplace(m) == det_bareiss(m)
     # a couple at the cap, where expansion is slowest
     for _ in range(2):
-        entries = tuple(rng.randint(-9, 9) for _ in range(64))
-        m = IntegerMatrix(dimension=8, entries=entries)
+        m = random_matrix(rng, 8)
         assert det_laplace(m) == det_bareiss(m)
 
 

@@ -20,11 +20,11 @@ def system(moduli, coprime=False):
 
 def test_sieve_histogram_examples():
     s = system([2, 3])
-    assert sieve_histogram(s, assign_residues(s, [0, 0])).counts == (2, 3, 1)
+    assert sieve_histogram(s, assign_residues(s, [0, 0])) == (2, 3, 1)
     s1 = system([2])
-    assert sieve_histogram(s1, assign_residues(s1, [1])).counts == (1, 1)
+    assert sieve_histogram(s1, assign_residues(s1, [1])) == (1, 1)
     s3 = system([2, 3, 5])
-    assert sieve_histogram(s3, assign_residues(s3, [1, 2, 4])).counts == (8, 14, 7, 1)
+    assert sieve_histogram(s3, assign_residues(s3, [1, 2, 4])) == (8, 14, 7, 1)
 
 
 def test_sieve_matches_definitional_gamma_count():
@@ -35,7 +35,7 @@ def test_sieve_matches_definitional_gamma_count():
         brute = [0] * (s.k + 1)
         for n in range(1, s.product + 1):
             brute[gamma(s, a, n)] += 1
-        assert list(sieve_histogram(s, a).counts) == brute
+        assert list(sieve_histogram(s, a)) == brute
 
 
 def test_oracle_counts_examples():
@@ -55,7 +55,7 @@ def test_chunked_execution_invariance(chunk_size):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
     config = SieveConfig(chunk_size=chunk_size)
-    assert sieve_histogram(s, a, config).counts == (48, 92, 56, 13, 1)
+    assert sieve_histogram(s, a, config) == (48, 92, 56, 13, 1)
 
 
 def test_thread_count_does_not_change_results():
@@ -66,7 +66,7 @@ def test_thread_count_does_not_change_results():
     par = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=4))
     auto = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=0))
     assert seq == par == auto
-    assert sum(seq.counts) == s.product
+    assert sum(seq) == s.product
 
 
 def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
@@ -81,11 +81,11 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
     expected = (48, 92, 56, 13, 1)
-    assert sieve_histogram(s, a, SieveConfig(threads=4)).counts == expected  # one chunk
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=1)).counts == expected
+    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected  # one chunk
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=1)) == expected
     assert pools == []
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=4)).counts == expected
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=105, threads=4)).counts == expected
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=4)) == expected
+    assert sieve_histogram(s, a, SieveConfig(chunk_size=105, threads=4)) == expected
     assert pools == [4, 2]  # never more workers than chunks
 
 
@@ -144,6 +144,7 @@ def test_independence_exhaustive_budget():
 
 def test_exhaustive_budget_counts_integers_sieved(monkeypatch):
     s = system([2, 3, 5])  # 30 assignments of 30 integers each
+    monkeypatch.setattr(oracle, "SIEVE_CALL_INTEGERS", 1)
     monkeypatch.setattr(oracle, "SIEVE_BUDGET", 900)
     assert residue_independence_check(s, exhaustive=True).assignments_tested == 30
     monkeypatch.setattr(oracle, "SIEVE_BUDGET", 899)
@@ -153,11 +154,26 @@ def test_exhaustive_budget_counts_integers_sieved(monkeypatch):
 
 def test_random_budget_counts_integers_sieved(monkeypatch):
     s = system([2, 3, 5])  # 7 trials of 30 integers each
+    monkeypatch.setattr(oracle, "SIEVE_CALL_INTEGERS", 1)
     monkeypatch.setattr(oracle, "SIEVE_BUDGET", 210)
     assert residue_independence_check(s, trials=7).assignments_tested == 7
     monkeypatch.setattr(oracle, "SIEVE_BUDGET", 209)
     with pytest.raises(ResourceLimitError, match="210 integers to sieve exceed the random"):
         residue_independence_check(s, trials=7)
+
+
+def test_budget_charges_each_sieve_call_at_least_its_minimum(monkeypatch):
+    s = system([2, 3, 5])  # product 30, charged SIEVE_CALL_INTEGERS = 4096 per call
+    assert oracle.SIEVE_CALL_INTEGERS == 4096
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 4096)
+    assert residue_independence_check(s, trials=7).assignments_tested == 7
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 4096 - 1)
+    with pytest.raises(ResourceLimitError, match="28672 integers to sieve exceed the random"):
+        residue_independence_check(s, trials=7)
+    # a product above the minimum is charged as itself
+    big = system([2, 3, 5, 7, 11, 13])  # product 30030
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 30030)
+    assert residue_independence_check(big, trials=1).assignments_tested == 1
 
 
 def test_independence_matches_prediction_from_recurrences():

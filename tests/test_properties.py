@@ -1,5 +1,8 @@
-"""Property tests: the coverage-polynomial fold against elimination, and
-results that must not depend on modulus order or on how the sieve runs."""
+"""Property tests: the coverage-polynomial fold against elimination and the
+sieve, Bareiss against Laplace, and results that must not depend on modulus
+order or on how the sieve runs."""
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,10 +10,12 @@ from hypothesis import strategies as st
 from apcover.core import assign_residues, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.determinant import (
+    IntegerMatrix,
     available_det,
     build_available_matrix,
     build_free_matrix,
     det_bareiss,
+    det_laplace,
     free_det,
 )
 from apcover.oracle import SieveConfig, sieve_histogram
@@ -41,7 +46,7 @@ def check_fold_against_bareiss(moduli, coprime):
     raw_free = det_bareiss(build_free_matrix(s))
     assert free_det(s) == (raw_free if s.k % 2 == 0 else -raw_free)
     assert available_det(s) == det_bareiss(build_available_matrix(s))
-    counts = exact_coverage_histogram(s).counts
+    counts = exact_coverage_histogram(s)
     assert counts[0] == free_det(s)
     assert counts[0] + counts[1] == available_det(s)
 
@@ -89,3 +94,49 @@ def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, thre
     whole_window = sieve_histogram(s, a, SieveConfig(threads=1))
     assert sieve_histogram(s, a, config) == whole_window
     assert whole_window == exact_coverage_histogram(s)
+
+
+def smallest_within(moduli, limit=10**5):
+    """The smallest moduli, in increasing order, while their product stays within ``limit``."""
+    kept = []
+    for modulus in sorted(moduli):
+        if math.prod(kept) * modulus > limit:
+            break
+        kept.append(modulus)
+    return kept
+
+
+@st.composite
+def sieve_assignments(draw):
+    """A prime or pairwise-coprime system with product <= 10^5, and residues
+    for it drawn from [-10^6, 10^6]: unreduced and negative ones included."""
+    systems = st.one_of(prime_systems, coprime_composite_systems())
+    moduli = draw(systems.map(smallest_within).filter(bool))
+    residues = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(moduli),
+                             max_size=len(moduli)))
+    return moduli, residues
+
+
+@PROPERTY
+@given(sieve_assignments())
+@example(([2, 3, 5], [-1, -4, 29]))
+def test_sieve_matches_fold_on_random_systems(pair):
+    moduli, residues = pair
+    s = validate_modulus_system(moduli, coprime_mode=True)
+    assert sieve_histogram(s, residues) == exact_coverage_histogram(s)
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), st.integers(-10**20, 10**20)),
+             min_size=n, max_size=n).map(tuple),
+    min_size=n, max_size=n,
+).map(tuple))
+
+
+@PROPERTY
+@given(square_matrices)
+@example(((0, 1, 1), (1, 1, 2), (1, 2, 1)))  # zero pivot: Bareiss swaps rows
+@example(((1, 2), (2, 4)))  # singular
+def test_bareiss_matches_laplace(rows):
+    matrix = IntegerMatrix(rows)
+    assert det_bareiss(matrix) == det_laplace(matrix)
