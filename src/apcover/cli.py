@@ -18,9 +18,10 @@ JSON adds ``command``, the moduli inputs and ``timing_ms``; CSV joins each
 row with commas; ``oeis --bfile`` (whatever ``--format``) joins the rows
 after the header with spaces.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 invalid input,
-3 resource refusal, 4 internal error. Every integer is printed in full,
-however many digits.
+Exit codes: 0 success/verified, 1 verification mismatch, 4 internal error;
+a refusal, argparse's included, prints one ``error:`` line and exits with
+its error class's ``exit_code`` (see errors.py). Every integer is printed
+in full, however many digits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import contextlib
 import json
 import sys
 import time
-from typing import Any
+from typing import Any, NoReturn
 
 from .core import ModulusSystem, validate_modulus_system
 from .counting import (
@@ -49,24 +50,18 @@ from .determinant import (
     det_laplace,
     free_det,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ApcoverError, ResourceLimitError, ValidationError
 from .oracle import DEFAULT_PRODUCT_LIMIT, SieveConfig, residue_independence_check
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_INVALID = 2
-EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
+# bench re-validates every prefix, O(kmax^2): its rows, Bareiss aside, took 10 s
+# at kmax 1000 on a 2-CPU host
+MAX_BENCH_KMAX = 1000
 
 # what every _run_* returns; see the module docstring
 Output = tuple[dict[str, Any], dict[str, Any], list[list[str]], int]
-
-
-def _parse_moduli(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"cannot parse moduli list {text!r}") from None
 
 
 def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
@@ -75,24 +70,35 @@ def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
             raise ValidationError("--first-k must be >= 1")
         moduli = first_primes(args.first_k)
     else:
-        moduli = _parse_moduli(args.primes)
+        try:
+            moduli = [int(part) for part in args.primes.split(",") if part.strip() != ""]
+        except ValueError:
+            raise ValidationError(f"cannot parse moduli list {args.primes!r}") from None
     return validate_modulus_system(moduli, coprime_mode=args.coprime)
 
 
-def _moduli_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes", help="comma-separated moduli, e.g. 2,3,5")
-    group.add_argument(
-        "--first-k", type=int, metavar="N", help="use the first N primes"
-    )
-    parser.add_argument(
-        "--coprime",
-        action="store_true",
-        help="accept pairwise-coprime composite moduli",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments by raising, so they leave ``main`` like any refusal."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
 
 
-def _output_flags(parser: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, run, help: str, moduli: bool = True) -> argparse.ArgumentParser:
+    """The subparser of one command, its runner, and the flags commands share."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(run=run)
+    if moduli:
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument("--primes", help="comma-separated moduli, e.g. 2,3,5")
+        group.add_argument(
+            "--first-k", type=int, metavar="N", help="use the first N primes"
+        )
+        parser.add_argument(
+            "--coprime",
+            action="store_true",
+            help="accept pairwise-coprime composite moduli",
+        )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument(
         "--timing",
@@ -100,32 +106,28 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
         help="include wall-clock timing_ms in JSON output; CSV and b-file omit it "
         "(breaks byte-for-byte determinism)",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apcover",
         description="Exact coverage counts for residue classes of coprime arithmetic progressions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="coverage counts and full histogram")
-    _moduli_flags(p_count)
-    _output_flags(p_count)
+    _subcommand(sub, "count", _run_count, "coverage counts and full histogram")
 
-    p_det = sub.add_parser("det", help="one determinant by a chosen method")
-    _moduli_flags(p_det)
-    _output_flags(p_det)
+    p_det = _subcommand(sub, "det", _run_det, "one determinant by a chosen method")
     p_det.add_argument("--which", choices=("available", "free"), required=True)
     p_det.add_argument(
         "--method", choices=("recurrence", "bareiss", "laplace"), default="recurrence"
     )
 
-    p_verify = sub.add_parser(
-        "verify", help="sieve assignments and compare with the recurrence prediction"
+    p_verify = _subcommand(
+        sub, "verify", _run_verify,
+        "sieve assignments and compare with the recurrence prediction",
     )
-    _moduli_flags(p_verify)
-    _output_flags(p_verify)
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--exhaustive", action="store_true")
@@ -137,19 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse products above this (default %(default)s)",
     )
     p_verify.add_argument(
-        "--threads", type=int, default=0, help="sieve workers, 0 = auto"
+        "--threads", type=int, default=0,
+        help="sieve workers, 0 = one worker per usable CPU",
     )
 
-    p_oeis = sub.add_parser("oeis", help="emit sequence terms")
-    _output_flags(p_oeis)
+    p_oeis = _subcommand(sub, "oeis", _run_oeis, "emit sequence terms", moduli=False)
     p_oeis.add_argument("--sequence", choices=("A067549", "A005867"), required=True)
     p_oeis.add_argument("--terms", type=int, required=True)
     p_oeis.add_argument(
         "--bfile", action="store_true", help='plain "index value" lines for diffing'
     )
 
-    p_bench = sub.add_parser("bench", help="recurrence vs Bareiss wall time")
-    _output_flags(p_bench)
+    p_bench = _subcommand(
+        sub, "bench", _run_bench, "recurrence vs Bareiss wall time", moduli=False
+    )
     p_bench.add_argument("--kmax", type=int, required=True)
     p_bench.add_argument("--repeat", type=int, default=3)
     p_bench.add_argument(
@@ -267,6 +270,8 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
         raise ValidationError("--kmax must be >= 2")
     if args.repeat < 1:
         raise ValidationError("--repeat must be >= 1")
+    if args.kmax > MAX_BENCH_KMAX:
+        raise ResourceLimitError(f"--kmax {args.kmax} exceeds the bench limit {MAX_BENCH_KMAX}")
     primes = first_primes(args.kmax)
     records = []
     skipped = None  # why Bareiss is skipped from this k on
@@ -299,15 +304,6 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
     return inputs, {"rows": records}, _table(records), EXIT_OK
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "det": _run_det,
-    "verify": _run_verify,
-    "oeis": _run_oeis,
-    "bench": _run_bench,
-}
-
-
 @contextlib.contextmanager
 def _exact_decimals():
     """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300."""
@@ -323,20 +319,16 @@ def _exact_decimals():
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
-        # --primes is parsed under the digit limit; only the work and its output are not
+        # the arguments are parsed under the digit limit; only the work and its output are not
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         system = _system_from_args(args) if "primes" in args else None
         with _exact_decimals():
-            inputs, results, rows, exit_code = _RUNNERS[args.command](args, system)
-    except ValidationError as exc:
+            inputs, results, rows, exit_code = args.run(args, system)
+    except ApcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+        return exc.exit_code
     except Exception as exc:  # a defect here; exit 1 stays reserved for a mismatch
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -349,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         if system is not None:
             moduli = [str(m) for m in system.moduli]
-            inputs = {"moduli": moduli, "coprime": system.coprime_mode, **inputs}
+            inputs = {"moduli": moduli, "coprime": args.coprime, **inputs}
         record = {
             "command": args.command,
             "inputs": inputs,
@@ -358,7 +350,3 @@ def main(argv: list[str] | None = None) -> int:
         }
         sys.stdout.write(json.dumps(record, indent=2) + "\n")
     return exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

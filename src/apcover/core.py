@@ -57,7 +57,6 @@ class ModulusSystem:
 
     moduli: tuple[int, ...]
     product: int
-    coprime_mode: bool = False
 
     @property
     def k(self) -> int:
@@ -115,7 +114,7 @@ def validate_modulus_system(
         for m in ms:
             if not is_prime(m):
                 raise ValidationError(f"modulus {m} is not prime")
-    return ModulusSystem(moduli=ms, product=math.prod(ms), coprime_mode=coprime_mode)
+    return ModulusSystem(moduli=ms, product=math.prod(ms))
 
 
 def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int, ...]:

@@ -68,10 +68,8 @@ def first_primes(count: int) -> list[int]:
         raise ResourceLimitError(
             f"{count} primes exceed the first-primes limit {MAX_FIRST_PRIMES}"
         )
-    if count < 6:
-        return [2, 3, 5, 7, 11][:count]
-    # p_n < n (ln n + ln ln n) for n >= 6
-    bound = int(count * (math.log(count) + math.log(math.log(count)))) + 1
+    n = max(count, 6)  # p_n < n (ln n + ln ln n) for n >= 6
+    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 1
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(bound) + 1):

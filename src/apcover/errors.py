@@ -1,18 +1,24 @@
-"""Exception hierarchy: one class per CLI exit code.
+"""Exception hierarchy: one class per CLI exit code, carried as ``exit_code``.
 
-Bad input raises ``ValidationError`` (CLI exit code 2) and work refused
-because it would exceed a resource budget raises ``ResourceLimitError``
-(CLI exit code 3). The message names the reason; no caller needs more.
+Bad input raises ``ValidationError`` and work refused because it would
+exceed a resource budget raises ``ResourceLimitError``. The message names
+the reason; no caller needs more.
 """
 
 
 class ApcoverError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code: int
+
 
 class ValidationError(ApcoverError, ValueError):
     """Invalid input."""
 
+    exit_code = 2
+
 
 class ResourceLimitError(ApcoverError, RuntimeError):
     """Work refused up front rather than attempted."""
+
+    exit_code = 3

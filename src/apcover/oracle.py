@@ -23,7 +23,7 @@ from .core import CoverageCounts, ModulusSystem, assign_residues
 from .counting import coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
-DEFAULT_CHUNK_SIZE = 1 << 20
+CHUNK_SIZE = 1 << 20
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: about a minute at 155-175 M/s
 # A sieve call costs at least what sieving this many integers does (~22 us at
@@ -33,15 +33,12 @@ SIEVE_CALL_INTEGERS = 4096
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Execution knobs for the sieve; results never depend on them."""
+    """The sieve's window limit and most workers per call, 0 = one worker per usable CPU."""
 
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     product_limit: int = DEFAULT_PRODUCT_LIMIT
-    threads: int = 1  # 0 = one worker per CPU
+    threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
         if self.product_limit < 1:
             raise ValidationError("product_limit must be >= 1")
         if self.threads < 0:
@@ -56,6 +53,13 @@ class IndependenceReport:
     all_match: bool
     expected: CoverageCounts
     mismatches: tuple[tuple[tuple[int, ...], CoverageCounts], ...] = ()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_product(system: ModulusSystem, config: SieveConfig) -> None:
@@ -88,9 +92,10 @@ def sieve_histogram(
     k = system.k
     moduli = system.moduli
 
-    bounds = list(range(1, product + 1, config.chunk_size)) + [product + 1]
+    bounds = list(range(1, product + 1, CHUNK_SIZE)) + [product + 1]
     chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli), itertools.repeat(residues))
-    workers = min(config.threads or os.cpu_count() or 1, len(bounds) - 1)
+    cpus = _usable_cpus()
+    workers = min(config.threads or cpus, cpus, len(bounds) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return _merge(pool.map(_chunk_histogram, *chunk_args), k)

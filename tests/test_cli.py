@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -58,6 +59,7 @@ def test_count_first_k_expansion(capsys):
 def test_count_coprime_mode(capsys):
     code, record, _ = run_json(capsys, "count", "--primes", "4,9", "--coprime")
     assert code == 0
+    assert record["inputs"]["coprime"] is True
     assert record["results"]["available"] == "35"
     assert record["results"]["free"] == "24"
 
@@ -251,6 +253,13 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
          "matrix dimension 30000 exceeds the limit 300"),
         (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
          "matrix dimension 301 exceeds the limit 300"),
+        (("bench", "--kmax", "1001"), 3, "--kmax 1001 exceeds the bench limit 1000"),
+        # argparse's own refusals take the same one-line path
+        (("count", "--first-k", "abc"), 2, "error: argument --first-k: invalid int value: 'abc'"),
+        (("count",), 2, "one of the arguments --primes --first-k is required"),
+        (("det", "--primes", "2,3", "--which", "both"), 2,
+         "argument --which: invalid choice: 'both'"),
+        (("frobnicate",), 2, "invalid choice: 'frobnicate'"),
     ],
     ids=[
         "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
@@ -258,6 +267,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
         "random-call-minimum", "bareiss-dimension-30000", "free-dimension-301",
+        "bench-kmax-1001", "argparse-not-an-int", "argparse-no-moduli",
+        "argparse-bad-choice", "argparse-unknown-command",
     ],
 )
 def test_refusal_is_one_error_line(capsys, argv, code, reason):
@@ -266,18 +277,26 @@ def test_refusal_is_one_error_line(capsys, argv, code, reason):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usage:" not in err
 
 
 def test_internal_error_exits_4_in_one_line(capsys, monkeypatch):
     def broken(args, system):
         raise KeyError("histogram")
 
-    monkeypatch.setitem(cli._RUNNERS, "count", broken)
+    monkeypatch.setattr(cli, "_run_count", broken)
     code, out, err = run(capsys, "count", "--primes", "2,3")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "error: internal: KeyError: 'histogram'\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["count", "--help"])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: apcover count") and err == ""
 
 
 def test_oeis_bfile_bytes(capsys):
@@ -426,6 +445,17 @@ def test_timing_flag_adds_wall_clock(capsys):
 def decimal(n):
     with cli._exact_decimals():
         return str(n)
+
+
+def test_exact_decimals_without_a_digit_limit(monkeypatch):
+    # Python 3.10 has no int<->str digit limit; there the context manager only yields
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    body_ran = False
+    with cli._exact_decimals():
+        body_ran = True
+    assert body_ran
+    with pytest.raises(KeyError), cli._exact_decimals():
+        raise KeyError("body")
 
 
 def primes_below_2_64(count):

@@ -29,7 +29,6 @@ def test_validate_rejects_composite():
 def test_validate_coprime_mode_accepts_coprime_composites():
     system = validate_modulus_system([4, 9], coprime_mode=True)
     assert system.product == 36
-    assert system.coprime_mode
 
 
 def test_validate_coprime_mode_rejects_shared_factor():
@@ -55,7 +54,7 @@ def test_validate_rejections(moduli, reason):
 
 def test_validate_idempotent_on_own_output():
     system = validate_modulus_system([7, 2, 13])
-    again = validate_modulus_system(system.moduli, system.coprime_mode)
+    again = validate_modulus_system(system.moduli)
     assert again == system
 
 

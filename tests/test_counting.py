@@ -129,6 +129,12 @@ def test_first_primes():
         first_primes(0)
 
 
+@pytest.mark.parametrize("count", range(1, 8))
+def test_first_primes_small_counts_match_trial_division(count):
+    primes = [n for n in range(2, 18) if all(n % d for d in range(2, n))]
+    assert first_primes(count) == primes[:count]
+
+
 def test_first_primes_limit():
     assert first_primes(20000)[-1] == 224737
     with pytest.raises(ResourceLimitError, match="first-primes limit"):

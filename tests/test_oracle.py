@@ -51,25 +51,27 @@ def test_oracle_counts_examples():
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 1 << 20])
-def test_chunked_execution_invariance(chunk_size):
+def test_chunked_execution_invariance(chunk_size, monkeypatch):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
-    config = SieveConfig(chunk_size=chunk_size)
-    assert sieve_histogram(s, a, config) == (48, 92, 56, 13, 1)
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
+    assert sieve_histogram(s, a) == (48, 92, 56, 13, 1)
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
     s = system([2, 3, 5, 7, 11])
     a = assign_residues(s, [1, 1, 2, 3, 5])
     # tiny chunks force a real multi-chunk merge
-    seq = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=1))
-    par = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=4))
-    auto = sieve_histogram(s, a, SieveConfig(chunk_size=128, threads=0))
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 128)
+    seq = sieve_histogram(s, a, SieveConfig(threads=1))
+    par = sieve_histogram(s, a, SieveConfig(threads=4))
+    auto = sieve_histogram(s, a, SieveConfig(threads=0))
     assert seq == par == auto
     assert sum(seq) == s.product
 
 
-def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
+def recording_pools(monkeypatch, cpus):
+    """Pretend the process may use ``cpus`` CPUs; record each pool's max_workers."""
     pools = []
     real_pool = oracle.ThreadPoolExecutor
 
@@ -78,15 +80,33 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    return pools
+
+
+def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
+    pools = recording_pools(monkeypatch, cpus=4)
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
     expected = (48, 92, 56, 13, 1)
     assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected  # one chunk
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=1)) == expected
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
+    assert sieve_histogram(s, a, SieveConfig(threads=1)) == expected
     assert pools == []
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=7, threads=4)) == expected
-    assert sieve_histogram(s, a, SieveConfig(chunk_size=105, threads=4)) == expected
+    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 105)
+    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected
     assert pools == [4, 2]  # never more workers than chunks
+
+
+def test_workers_never_exceed_usable_cpus(monkeypatch):
+    pools = recording_pools(monkeypatch, cpus=3)
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
+    s = system([2, 3, 5, 7])  # 30 chunks of 7
+    a = assign_residues(s, [1, 2, 3, 4])
+    for threads in (0, 8):
+        assert sieve_histogram(s, a, SieveConfig(threads=threads)) == (48, 92, 56, 13, 1)
+    assert pools == [3, 3]
 
 
 def test_product_limit_refusal():
@@ -194,8 +214,6 @@ def test_coprime_mode_counts_match_recurrences():
 
 
 def test_sieve_config_validation():
-    with pytest.raises(ValueError):
-        SieveConfig(chunk_size=0)
     with pytest.raises(ValueError):
         SieveConfig(product_limit=0)
     with pytest.raises(ValueError):

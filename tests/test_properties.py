@@ -3,10 +3,12 @@ sieve, Bareiss against Laplace, and results that must not depend on modulus
 order or on how the sieve runs."""
 
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apcover.oracle as oracle
 from apcover.core import assign_residues, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.determinant import (
@@ -90,9 +92,11 @@ SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 
 def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, threads):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
-    config = SieveConfig(chunk_size=chunk_size, threads=threads)
     whole_window = sieve_histogram(s, a, SieveConfig(threads=1))
-    assert sieve_histogram(s, a, config) == whole_window
+    # four usable CPUs, so the pool runs on a one-CPU host too
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
+            mock.patch.object(oracle, "_usable_cpus", lambda: 4):
+        assert sieve_histogram(s, a, SieveConfig(threads=threads)) == whole_window
     assert whole_window == exact_coverage_histogram(s)
 
 
