@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
+import math
 import sys
 import time
 from typing import Any, NoReturn
 
-from .core import ModulusSystem, validate_modulus_system
+from .core import CoverageCounts, ModulusSystem, validate_modulus_system
 from .counting import (
     coverage_counts,
     exact_coverage_histogram,
@@ -42,7 +44,6 @@ from .counting import (
     oeis_a067549,
 )
 from .determinant import (
-    MAX_MATRIX_DIMENSION,
     available_det,
     build_available_matrix,
     build_free_matrix,
@@ -56,8 +57,8 @@ from .oracle import DEFAULT_PRODUCT_LIMIT, SieveConfig, residue_independence_che
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 4
-# bench re-validates every prefix, O(kmax^2): its rows, Bareiss aside, took 10 s
-# at kmax 1000 on a 2-CPU host
+# bench folds every prefix once per --repeat, O(kmax^2) big-integer steps: at kmax
+# 1000, Bareiss aside, it took 1.6 s at --repeat 1 and 3.0 s at 3 on a 2-CPU host
 MAX_BENCH_KMAX = 1000
 
 # what every _run_* returns; see the module docstring
@@ -164,13 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _str_counts(counts) -> dict[str, str]:
-    return {
-        "available": str(counts.available),
-        "free": str(counts.free),
-        "occupied": str(counts.occupied),
-        "product": str(counts.product),
-    }
+def _str_counts(counts: CoverageCounts) -> dict[str, str]:
+    """The counts in decimal, in ``CoverageCounts``' field order."""
+    return {name: str(value) for name, value in dataclasses.asdict(counts).items()}
 
 
 def _table(records: list[dict[str, Any]]) -> list[list[str]]:
@@ -253,15 +250,17 @@ def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
     return inputs, {"terms": terms}, [["index", "value"], *terms], EXIT_OK
 
 
-def _time_best(fn, repeat: int) -> tuple[float, Any]:
-    """Best-of-``repeat`` wall time in ms, and the (identical) result."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeat)):
+def _time_best(fn, repeat: int, stop_ms: float = math.inf) -> tuple[float, Any]:
+    """Best wall time in ms of up to ``repeat`` runs, stopping after the first
+    run over ``stop_ms``, and the (identical) result."""
+    best = math.inf
+    for _ in range(repeat):
         start = time.perf_counter()
         result = fn()
         elapsed = (time.perf_counter() - start) * 1000.0
         best = min(best, elapsed)
+        if elapsed > stop_ms:
+            break
     return best, result
 
 
@@ -270,26 +269,29 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
         raise ValidationError("--kmax must be >= 2")
     if args.repeat < 1:
         raise ValidationError("--repeat must be >= 1")
+    if math.isnan(args.timeout_ms):
+        raise ValidationError("--timeout-ms must be a number, got nan")
     if args.kmax > MAX_BENCH_KMAX:
         raise ResourceLimitError(f"--kmax {args.kmax} exceeds the bench limit {MAX_BENCH_KMAX}")
-    primes = first_primes(args.kmax)
+    moduli = validate_modulus_system(first_primes(args.kmax)).moduli
     records = []
     skipped = None  # why Bareiss is skipped from this k on
-    for k in range(1, args.kmax + 1):
-        system = validate_modulus_system(primes[:k])
-        rec_ms, rec_value = _time_best(lambda: available_det(system), args.repeat)
+    product = 1
+    for k, modulus in enumerate(moduli, start=1):
+        product *= modulus
+        # a prefix of a valid system is valid, so it is not validated again
+        system = ModulusSystem(moduli[:k], product)
+        rec_ms, rec_det = _time_best(lambda: available_det(system), args.repeat)
         record: dict[str, Any] = {"k": str(k), "recurrence_ms": f"{rec_ms:.3f}"}
-        if skipped is None and k > MAX_MATRIX_DIMENSION:
-            skipped = "skipped (size limit)"
         if skipped is None:
-            matrix = build_available_matrix(system)
-            bar_ms, bar_value = _time_best(lambda: det_bareiss(matrix), 1)
-            if bar_ms <= args.timeout_ms and args.repeat > 1:
-                # only spend repeats on cases that fit the budget
-                extra_ms, _ = _time_best(lambda: det_bareiss(matrix), args.repeat - 1)
-                bar_ms = min(bar_ms, extra_ms)
+            try:
+                matrix = build_available_matrix(system)
+            except ResourceLimitError:
+                skipped = "skipped (size limit)"
+        if skipped is None:
+            bar_ms, bar_det = _time_best(lambda: det_bareiss(matrix), args.repeat, args.timeout_ms)
             record["bareiss_ms"] = f"{bar_ms:.3f}"
-            record["agree"] = bar_value == rec_value
+            record["agree"] = bar_det == rec_det
             if bar_ms > args.timeout_ms:
                 skipped = "skipped (timeout)"
         else:

@@ -103,18 +103,18 @@ def validate_modulus_system(
         if m in seen:
             raise ValidationError(f"modulus {m} appears more than once")
         seen.add(m)
-    if coprime_mode:
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if math.gcd(ms[i], ms[j]) != 1:
-                    raise ValidationError(
-                        f"moduli {ms[i]} and {ms[j]} share a common factor"
-                    )
-    else:
-        for m in ms:
-            if not is_prime(m):
-                raise ValidationError(f"modulus {m} is not prime")
-    return ModulusSystem(moduli=ms, product=math.prod(ms))
+    product = 1
+    for m in ms:
+        if coprime_mode:
+            # coprime to every earlier modulus iff coprime to their product; if not,
+            # an earlier modulus shares the factor, so the scan stops before m
+            if math.gcd(product, m) != 1:
+                partner = next(p for p in ms if math.gcd(p, m) != 1)
+                raise ValidationError(f"moduli {partner} and {m} share a common factor")
+        elif not is_prime(m):
+            raise ValidationError(f"modulus {m} is not prime")
+        product *= m
+    return ModulusSystem(moduli=ms, product=product)
 
 
 def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import apcover.cli as cli
+import apcover.determinant
 from apcover.core import CoverageCounts, is_prime, validate_modulus_system
 from apcover.counting import first_primes
 from apcover.determinant import available_det
@@ -254,6 +255,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
          "matrix dimension 301 exceeds the limit 300"),
         (("bench", "--kmax", "1001"), 3, "--kmax 1001 exceeds the bench limit 1000"),
+        # NaN compares false with every time, so it would silently mean "never skip"
+        (("bench", "--kmax", "2", "--timeout-ms", "nan"), 2, "--timeout-ms must be a number"),
         # argparse's own refusals take the same one-line path
         (("count", "--first-k", "abc"), 2, "error: argument --first-k: invalid int value: 'abc'"),
         (("count",), 2, "one of the arguments --primes --first-k is required"),
@@ -267,7 +270,7 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
         "random-call-minimum", "bareiss-dimension-30000", "free-dimension-301",
-        "bench-kmax-1001", "argparse-not-an-int", "argparse-no-moduli",
+        "bench-kmax-1001", "bench-timeout-nan", "argparse-not-an-int", "argparse-no-moduli",
         "argparse-bad-choice", "argparse-unknown-command",
     ],
 )
@@ -389,8 +392,25 @@ def test_bench_timeout_skips_later_bareiss_rows(capsys):
     assert len(lines) == 6
 
 
+def test_bench_validates_the_system_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_modulus_system(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_modulus_system", counted)
+    code, record, _ = run_json(capsys, "bench", "--kmax", "6", "--repeat", "1")
+    assert code == 0
+    assert len(calls) == 1
+    rows = record["results"]["rows"]
+    assert [r["k"] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+    assert all(r["agree"] is True for r in rows)
+
+
 def test_bench_skips_bareiss_past_the_matrix_size_limit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_MATRIX_DIMENSION", 3)
+    # the matrix builder owns the limit; bench labels the rows it refuses
+    monkeypatch.setattr(apcover.determinant, "MAX_MATRIX_DIMENSION", 3)
     code, record, _ = run_json(capsys, "bench", "--kmax", "5", "--repeat", "1")
     assert code == 0
     rows = record["results"]["rows"]

@@ -36,6 +36,12 @@ def test_validate_coprime_mode_rejects_shared_factor():
         validate_modulus_system([4, 6], coprime_mode=True)
 
 
+def test_validate_coprime_mode_names_the_first_clash_and_its_earliest_partner():
+    # 9 is the first modulus that clashes with an earlier one; 10 and 5 clash later
+    with pytest.raises(ValidationError, match="moduli 3 and 9 share a common factor"):
+        validate_modulus_system([10, 3, 9, 5], coprime_mode=True)
+
+
 @pytest.mark.parametrize(
     "moduli, reason",
     [

@@ -3,8 +3,10 @@ sieve, Bareiss against Laplace, and results that must not depend on modulus
 order or on how the sieve runs."""
 
 import math
+import re
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from apcover.determinant import (
     det_laplace,
     free_det,
 )
+from apcover.errors import ValidationError
 from apcover.oracle import SieveConfig, sieve_histogram
 
 # Derandomized so every run of the suite draws the same examples.
@@ -73,6 +76,24 @@ def test_counts_and_histogram_ignore_modulus_order(pair):
     original, permuted = (validate_modulus_system(ms, coprime_mode=True) for ms in pair)
     assert coverage_counts(original) == coverage_counts(permuted)
     assert exact_coverage_histogram(original) == exact_coverage_histogram(permuted)
+
+
+@PROPERTY
+@given(st.lists(st.integers(2, 200), min_size=1, max_size=12, unique=True))
+@example([4, 9, 25, 7])
+@example([10, 3, 9, 5])  # two clashing pairs
+def test_coprime_mode_refuses_exactly_the_lists_with_a_shared_factor(moduli):
+    clashing = any(math.gcd(a, b) != 1 for i, a in enumerate(moduli) for b in moduli[i + 1:])
+    if not clashing:
+        system = validate_modulus_system(moduli, coprime_mode=True)
+        assert system.moduli == tuple(moduli) and system.product == math.prod(moduli)
+        return
+    with pytest.raises(ValidationError) as refusal:
+        validate_modulus_system(moduli, coprime_mode=True)
+    a, b = map(int, re.fullmatch(r"moduli (\d+) and (\d+) share a common factor",
+                                 str(refusal.value)).groups())
+    assert a in moduli and b in moduli and a != b
+    assert math.gcd(a, b) != 1
 
 
 SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 11),
