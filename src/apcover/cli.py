@@ -67,8 +67,6 @@ Output = tuple[dict[str, Any], dict[str, Any], list[list[str]], int]
 
 def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
     if args.first_k is not None:
-        if args.first_k < 1:
-            raise ValidationError("--first-k must be >= 1")
         moduli = first_primes(args.first_k)
     else:
         try:
@@ -238,8 +236,6 @@ def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
 
 
 def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
-    if args.terms < 1:
-        raise ValidationError("--terms must be >= 1")
     values = (
         oeis_a067549(args.terms)
         if args.sequence == "A067549"
@@ -269,8 +265,10 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
         raise ValidationError("--kmax must be >= 2")
     if args.repeat < 1:
         raise ValidationError("--repeat must be >= 1")
-    if math.isnan(args.timeout_ms):
-        raise ValidationError("--timeout-ms must be a number, got nan")
+    if not (math.isfinite(args.timeout_ms) and args.timeout_ms >= 0):
+        raise ValidationError(
+            f"--timeout-ms must be a number, finite and >= 0, got {args.timeout_ms}"
+        )
     if args.kmax > MAX_BENCH_KMAX:
         raise ResourceLimitError(f"--kmax {args.kmax} exceeds the bench limit {MAX_BENCH_KMAX}")
     moduli = validate_modulus_system(first_primes(args.kmax)).moduli

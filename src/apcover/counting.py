@@ -63,7 +63,7 @@ def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes via a plain sieve with a Rosser bound."""
     if count < 1:
-        raise ValidationError("count must be >= 1")
+        raise ValidationError(f"need at least 1 prime, got {count}")
     if count > MAX_FIRST_PRIMES:
         raise ResourceLimitError(
             f"{count} primes exceed the first-primes limit {MAX_FIRST_PRIMES}"

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +238,9 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
          "exceed the exhaustive budget"),
         (("verify", "--primes", "2,3,5,7,11,13,17", "--exhaustive"), 3,
          "260620460100 integers to sieve exceed the exhaustive budget"),
+        # first_primes alone refuses a count below 1, for --first-k and --terms alike
+        (("count", "--first-k", "0"), 2, "need at least 1 prime, got 0"),
+        (("oeis", "--sequence", "A067549", "--terms", "0"), 2, "need at least 1 prime, got 0"),
         (("count", "--first-k", FOUR_HUNDRED_ONE_DIGITS), 3, "first-primes limit"),
         (("oeis", "--sequence", "A005867", "--terms", FOUR_HUNDRED_ONE_DIGITS), 3,
          "first-primes limit"),
@@ -255,8 +261,13 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
          "matrix dimension 301 exceeds the limit 300"),
         (("bench", "--kmax", "1001"), 3, "--kmax 1001 exceeds the bench limit 1000"),
-        # NaN compares false with every time, so it would silently mean "never skip"
+        # NaN compares false with every time and inf exceeds none, so either would silently
+        # mean "never skip"; a negative value would mean "skip after k = 1"
         (("bench", "--kmax", "2", "--timeout-ms", "nan"), 2, "--timeout-ms must be a number"),
+        (("bench", "--kmax", "2", "--timeout-ms", "-1"), 2,
+         "--timeout-ms must be a number, finite and >= 0, got -1.0"),
+        (("bench", "--kmax", "2", "--timeout-ms", "inf"), 2,
+         "--timeout-ms must be a number, finite and >= 0, got inf"),
         # argparse's own refusals take the same one-line path
         (("count", "--first-k", "abc"), 2, "error: argument --first-k: invalid int value: 'abc'"),
         (("count",), 2, "one of the arguments --primes --first-k is required"),
@@ -267,10 +278,11 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
     ids=[
         "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
         "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
-        "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
+        "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
         "random-call-minimum", "bareiss-dimension-30000", "free-dimension-301",
-        "bench-kmax-1001", "bench-timeout-nan", "argparse-not-an-int", "argparse-no-moduli",
+        "bench-kmax-1001", "bench-timeout-nan", "bench-timeout-negative", "bench-timeout-inf",
+        "argparse-not-an-int", "argparse-no-moduli",
         "argparse-bad-choice", "argparse-unknown-command",
     ],
 )
@@ -358,7 +370,7 @@ def test_oeis_csv(capsys):
 def test_oeis_rejects_bad_terms(capsys):
     code, _, err = run(capsys, "oeis", "--sequence", "A005867", "--terms", "0")
     assert code == 2
-    assert "terms" in err
+    assert err == "error: need at least 1 prime, got 0\n"
 
 
 def test_bench_small(capsys):
@@ -534,3 +546,29 @@ def test_long_modulus_token_is_refused_in_one_line(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import apcover.cli", False),
+        ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])", False),
+        ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1'])",
+         True),
+    ],
+    ids=["import", "count", "verify"],
+)
+def test_numpy_is_loaded_only_by_the_sieve(code, loaded):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loaded)

@@ -218,3 +218,46 @@ def test_sieve_config_validation():
         SieveConfig(product_limit=0)
     with pytest.raises(ValueError):
         SieveConfig(threads=-1)
+
+
+def brute_histogram(s, a, lo, hi):
+    """Coverage histogram of [lo, hi) by one gamma call per integer."""
+    counts = [0] * (s.k + 1)
+    for n in range(lo, hi):
+        counts[gamma(s, a, n)] += 1
+    return counts
+
+
+# chunk starts off 1 + 210Z, so a wheel tile must be shifted to each chunk's start;
+# a BINCOUNT_MAX of 0 bins every chunk by comparisons
+@pytest.mark.parametrize("bincount_max", [0, oracle.BINCOUNT_MAX])
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (11, 2, 7, 3, 5), (13, 2, 3, 5, 7, 11)])
+def test_chunk_histogram_matches_gamma_at_any_start(moduli, bincount_max, monkeypatch):
+    monkeypatch.setattr(oracle, "BINCOUNT_MAX", bincount_max)
+    s = system(moduli)
+    a = assign_residues(s, [(7 * i + 3) % p for i, p in enumerate(moduli)])
+    for lo in (2, 5, 100, 228, 1000, 2300, 2311 + 17, 30030 - 6100):
+        for length in (1, 209, 211, 2311, 6000):
+            hi = min(lo + length, s.product + 1)
+            if lo < hi:
+                hist = oracle._chunk_histogram(lo, hi, s.moduli, a)
+                assert hist == brute_histogram(s, a, lo, hi)
+                assert all(type(c) is int for c in hist)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (11, 2, 7, 3, 5),  # out of order: the smallest moduli are not a prefix
+        (7, 25, 4, 9),  # coprime composites
+        (4, 9, 25, 7),
+        (211, 223),  # no modulus small enough for a tile of more than one
+    ],
+)
+@pytest.mark.parametrize("chunk_size", [1, 97, 1000, 1 << 20])
+def test_sieve_matches_gamma_on_wheel_edge_systems(moduli, chunk_size, monkeypatch):
+    s = system(moduli, coprime=True)
+    rng = random.Random(sum(moduli) + chunk_size)
+    a = assign_residues(s, [rng.randrange(p) for p in moduli])
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
+    assert list(sieve_histogram(s, a)) == brute_histogram(s, a, 1, s.product + 1)

@@ -121,6 +121,32 @@ def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, thre
     assert whole_window == exact_coverage_histogram(s)
 
 
+
+# Products 2310 and 30030, moduli out of order, coprime composites, and moduli
+# too large to share a tile, under chunk sizes whose starts fall off the tile period.
+WHEEL_SYSTEMS = ((2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13), (11, 2, 7, 3, 5),
+                 (13, 11, 7, 5, 3, 2), (4, 9, 25, 7), (7, 25, 9, 4), (211, 223))
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    moduli=st.sampled_from(WHEEL_SYSTEMS),
+    residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
+    chunk_size=st.integers(1, 1000),
+    bincount_max=st.sampled_from((0, oracle.BINCOUNT_MAX)),  # 0: bin by comparisons
+)
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000,
+         bincount_max=0)
+@example(moduli=(11, 2, 7, 3, 5), residues=[0] * 6, chunk_size=211, bincount_max=0)
+@example(moduli=(211, 223), residues=[5, 7] + [0] * 4, chunk_size=997,
+         bincount_max=oracle.BINCOUNT_MAX)
+def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size, bincount_max):
+    s = validate_modulus_system(moduli, coprime_mode=True)
+    a = assign_residues(s, residues[: s.k])
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
+            mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max):
+        assert sieve_histogram(s, a, SieveConfig(threads=1)) == exact_coverage_histogram(s)
+
 def smallest_within(moduli, limit=10**5):
     """The smallest moduli, in increasing order, while their product stays within ``limit``."""
     kept = []
