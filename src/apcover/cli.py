@@ -236,11 +236,17 @@ def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
 
 
 def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
-    values = (
-        oeis_a067549(args.terms)
-        if args.sequence == "A067549"
-        else oeis_a005867(args.terms)
-    )
+    # The terms are folded in Decimal, whose str is linear in the digits (str(int)
+    # is quadratic before 3.12). decimal is loaded here only, and the context can
+    # hold any integer exactly; a rounding would raise and exit 4, never print.
+    import decimal
+
+    sequence = oeis_a067549 if args.sequence == "A067549" else oeis_a005867
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
+            context.traps[signal] = True
+        values = sequence(args.terms, one=decimal.Decimal(1))
     terms = [[str(i), str(v)] for i, v in enumerate(values, start=1)]
     inputs = {"sequence": args.sequence, "terms": str(args.terms)}
     return inputs, {"terms": terms}, [["index", "value"], *terms], EXIT_OK
@@ -306,7 +312,11 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
 
 @contextlib.contextmanager
 def _exact_decimals():
-    """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300."""
+    """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300.
+
+    ``count`` and ``det``, by the recurrence and by Bareiss alike, still print
+    ints past that size; ``oeis`` folds in Decimal and never meets the limit.
+    """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

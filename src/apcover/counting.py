@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .core import CoverageCounts, ModulusSystem
-from .determinant import coverage_polynomial, coverage_polynomials
+from .determinant import Number, coverage_polynomial, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
 MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
@@ -79,16 +79,18 @@ def first_primes(count: int) -> list[int]:
     return primes[:count]
 
 
-def _sequence_over_first_primes(n_terms: int, degree: int) -> tuple[int, ...]:
+def _sequence_over_first_primes(n_terms: int, degree: int, one: Number) -> tuple[Number, ...]:
     """Sum of the coefficients up to x^degree, over each prefix of the first primes."""
-    return tuple(sum(c) for c in coverage_polynomials(first_primes(n_terms), degree))
+    return tuple(sum(c) for c in coverage_polynomials(first_primes(n_terms), degree, one))
 
 
-def oeis_a067549(n_terms: int) -> tuple[int, ...]:
-    """Available-count determinants over the first k primes, k = 1..n_terms."""
-    return _sequence_over_first_primes(n_terms, degree=1)
+def oeis_a067549(n_terms: int, one: Number = 1) -> tuple[Number, ...]:
+    """Available-count determinants over the first k primes, k = 1..n_terms,
+    of the type of ``one`` (see ``coverage_polynomials``)."""
+    return _sequence_over_first_primes(n_terms, degree=1, one=one)
 
 
-def oeis_a005867(n_terms: int) -> tuple[int, ...]:
-    """Free-count determinants over the first k primes, k = 1..n_terms: prod (p_i - 1)."""
-    return _sequence_over_first_primes(n_terms, degree=0)
+def oeis_a005867(n_terms: int, one: Number = 1) -> tuple[Number, ...]:
+    """Free-count determinants over the first k primes, k = 1..n_terms: prod (p_i - 1),
+    of the type of ``one`` (see ``coverage_polynomials``)."""
+    return _sequence_over_first_primes(n_terms, degree=0, one=one)

@@ -21,7 +21,7 @@ fast path to diverge from the exact routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import ModulusSystem
 from .errors import ResourceLimitError, ValidationError
@@ -29,6 +29,8 @@ from .errors import ResourceLimitError, ValidationError
 LAPLACE_MAX_DIMENSION = 8
 # Bareiss on a 300 x 300 available matrix took 43 s on a 2-CPU host
 MAX_MATRIX_DIMENSION = 300
+
+Number = TypeVar("Number")  # int, or decimal.Decimal for the sequence tables
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,18 @@ def _laplace(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def coverage_polynomials(moduli: Iterable[int], degree: int) -> Iterator[tuple[int, ...]]:
+def coverage_polynomials(
+    moduli: Iterable[int], degree: int, one: Number = 1
+) -> Iterator[tuple[Number, ...]]:
     """Coefficients of prod_i ((p_i - 1) + x) over each prefix of ``moduli``,
     lowest degree first and truncated above x^degree. The x^j coefficient
-    counts the integers in [1, product] lying in exactly j chosen classes."""
-    coeffs = [1]
+    counts the integers in [1, product] lying in exactly j chosen classes.
+
+    ``one`` starts the fold and sets the coefficients' type: the int 1, or
+    ``Decimal(1)`` when the terms are wanted in decimal. A Decimal fold is
+    exact only under a context that cannot round (the caller's to set up);
+    its ``str`` is linear in the digits where ``str(int)`` is quadratic."""
+    coeffs = [one]
     for p in moduli:
         weight = p - 1
         if len(coeffs) <= degree:

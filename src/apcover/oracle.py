@@ -14,7 +14,8 @@ j = 0 as the rest; a chunk of at most ``BINCOUNT_MAX`` integers is binned
 by one ``np.bincount``, which costs less there. Chunks are independent and
 merge by integer addition, so any partition of the window, and any degree
 of parallelism, produces identical results. numpy is imported on the first
-sieve call, before any worker starts, so the exact layers never load it.
+sieve call, before any worker starts, so the exact layers never load it;
+``concurrent.futures`` only when a call runs more than one worker.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -39,9 +39,10 @@ WHEEL_PERIOD_LIMIT = 2310
 BINCOUNT_MAX = 4096
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
-# A sieve call costs at least what sieving this many integers does (~22 us at
-# product 6 on a 2-CPU host), so each is charged at least this much.
-SIEVE_CALL_INTEGERS = 4096
+# A sieve call costs at least what sieving this many integers does: a call at
+# product 6 took 14-21 us on a 2-CPU host, as long as ~14000 integers of a large
+# window at 650-940 M/s (2 threads), so each call is charged at least this much.
+SIEVE_CALL_INTEGERS = 16384
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,9 @@ def sieve_histogram(
     cpus = _usable_cpus()
     workers = min(config.threads or cpus, cpus, len(bounds) - 1)
     if workers > 1:
+        # imported here: concurrent.futures loads threading, queue and logging
+        from concurrent.futures import ThreadPoolExecutor
+
         import numpy  # noqa: F401  # a first import here, not in several workers at once
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

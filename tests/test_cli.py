@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import apcover.cli as cli
 import apcover.determinant
 from apcover.core import CoverageCounts, is_prime, validate_modulus_system
-from apcover.counting import first_primes
+from apcover.counting import first_primes, oeis_a005867, oeis_a067549
 from apcover.determinant import available_det
 from apcover.oracle import IndependenceReport
 
@@ -253,9 +254,12 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         # the window limit is checked before the budget, in both modes
         (("verify", "--first-k", "10", "--exhaustive"), 3,
          "product 6469693230 exceeds sieve limit 1000000000"),
-        # each sieve call is charged at least SIEVE_CALL_INTEGERS = 4096 integers
+        # each sieve call is charged at least SIEVE_CALL_INTEGERS = 16384 integers
         (("verify", "--primes", "2,3", "--trials", "1000000000"), 3,
-         "4096000000000 integers to sieve exceed the random budget 10000000000"),
+         "16384000000000 integers to sieve exceed the random budget 10000000000"),
+        # 2.4 million calls of 15-21 us each would run 35-50 s; the limit is ~610000 trials
+        (("verify", "--primes", "2,3", "--trials", "2400000"), 3,
+         "39321600000 integers to sieve exceed the random budget 10000000000"),
         (("det", "--first-k", "30000", "--which", "available", "--method", "bareiss"), 3,
          "matrix dimension 30000 exceeds the limit 300"),
         (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
@@ -280,7 +284,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
         "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
-        "random-call-minimum", "bareiss-dimension-30000", "free-dimension-301",
+        "random-call-minimum", "random-call-minimum-2400000", "bareiss-dimension-30000",
+        "free-dimension-301",
         "bench-kmax-1001", "bench-timeout-nan", "bench-timeout-negative", "bench-timeout-inf",
         "argparse-not-an-int", "argparse-no-moduli",
         "argparse-bad-choice", "argparse-unknown-command",
@@ -533,6 +538,50 @@ def test_oeis_prints_every_digit(capsys):
     assert out.splitlines()[-1] == f"1450 {expected}"
 
 
+# oeis folds its terms in Decimal; every other path prints str() of an int
+ROUTE_TERMS = (1, 2, 30, 300, 1450, 2500)
+
+
+@functools.cache
+def int_fold_in_decimal(sequence):
+    """str() of each of the int fold's first max(ROUTE_TERMS) terms."""
+    fold = oeis_a067549 if sequence == "A067549" else oeis_a005867
+    with cli._exact_decimals():
+        return tuple(str(value) for value in fold(max(ROUTE_TERMS)))
+
+
+@pytest.mark.parametrize("terms", ROUTE_TERMS)
+@pytest.mark.parametrize("sequence", ["A067549", "A005867"])
+def test_oeis_prints_the_int_fold_byte_for_byte(capsys, sequence, terms):
+    rows = [[str(i), v] for i, v in enumerate(int_fold_in_decimal(sequence)[:terms], start=1)]
+    record = {
+        "command": "oeis",
+        "inputs": {"sequence": sequence, "terms": str(terms)},
+        "results": {"terms": rows},
+        "timing_ms": None,
+    }
+    expected = {
+        (): json.dumps(record, indent=2) + "\n",
+        ("--format", "csv"): "index,value\n" + "".join(f"{i},{v}\n" for i, v in rows),
+        ("--bfile",): "".join(f"{i} {v}\n" for i, v in rows),
+    }
+    for flags, stdout in expected.items():
+        got = run(capsys, "oeis", "--sequence", sequence, "--terms", str(terms), *flags)
+        assert got == (0, stdout, ""), flags
+
+
+@pytest.mark.parametrize("sequence", ["A067549", "A005867"])
+def test_oeis_rounding_exits_4_and_prints_nothing(capsys, monkeypatch, sequence):
+    import decimal as decimal_module
+
+    # the 100th terms have over 200 digits, so a 50-digit context must round
+    monkeypatch.setattr(decimal_module, "MAX_PREC", 50)
+    code, out, err = run(capsys, "oeis", "--sequence", sequence, "--terms", "100")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def test_verify_refusal_names_a_long_product_in_one_line(capsys):
     code, out, err = run(capsys, "verify", "--first-k", "1450")
     assert code == 3
@@ -562,13 +611,36 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     ids=["import", "count", "verify"],
 )
 def test_numpy_is_loaded_only_by_the_sieve(code, loaded):
+    assert ("numpy" in modules_loaded_after(code, ("numpy",))) == loaded
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import apcover.cli", set()),
+        ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])", set()),
+        ("import apcover.cli; apcover.cli.main(['oeis', '--sequence', 'A067549', '--terms', '3'])",
+         {"decimal"}),
+        # one chunk, so one worker whatever --threads asks for
+        ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1',"
+         " '--threads', '2'])", set()),
+    ],
+    ids=["import", "count", "oeis", "verify-one-chunk"],
+)
+def test_decimal_and_thread_pool_are_loaded_only_where_used(code, loaded):
+    assert modules_loaded_after(code, ("decimal", "concurrent.futures")) == loaded
+
+
+def modules_loaded_after(code, names):
+    """Which of ``names`` a fresh interpreter has imported after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    probe = f"import sys; print(*[name for name in {names!r} if name in sys.modules])"
     result = subprocess.run(
-        [sys.executable, "-c", f"{code}; import sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}; {probe}"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == str(loaded)
+    return set(result.stdout.splitlines()[-1].split())

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import pytest
@@ -73,13 +74,13 @@ def test_thread_count_does_not_change_results(monkeypatch):
 def recording_pools(monkeypatch, cpus):
     """Pretend the process may use ``cpus`` CPUs; record each pool's max_workers."""
     pools = []
-    real_pool = oracle.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     return pools
 
@@ -183,12 +184,12 @@ def test_random_budget_counts_integers_sieved(monkeypatch):
 
 
 def test_budget_charges_each_sieve_call_at_least_its_minimum(monkeypatch):
-    s = system([2, 3, 5])  # product 30, charged SIEVE_CALL_INTEGERS = 4096 per call
-    assert oracle.SIEVE_CALL_INTEGERS == 4096
-    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 4096)
+    s = system([2, 3, 5])  # product 30, charged SIEVE_CALL_INTEGERS = 16384 per call
+    assert oracle.SIEVE_CALL_INTEGERS == 16384
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 16384)
     assert residue_independence_check(s, trials=7).assignments_tested == 7
-    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 4096 - 1)
-    with pytest.raises(ResourceLimitError, match="28672 integers to sieve exceed the random"):
+    monkeypatch.setattr(oracle, "SIEVE_BUDGET", 7 * 16384 - 1)
+    with pytest.raises(ResourceLimitError, match="114688 integers to sieve exceed the random"):
         residue_independence_check(s, trials=7)
     # a product above the minimum is charged as itself
     big = system([2, 3, 5, 7, 11, 13])  # product 30030

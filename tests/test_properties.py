@@ -2,6 +2,7 @@
 sieve, Bareiss against Laplace, and results that must not depend on modulus
 order or on how the sieve runs."""
 
+import decimal
 import math
 import re
 from unittest import mock
@@ -18,6 +19,7 @@ from apcover.determinant import (
     available_det,
     build_available_matrix,
     build_free_matrix,
+    coverage_polynomials,
     det_bareiss,
     det_laplace,
     free_det,
@@ -66,6 +68,25 @@ def test_fold_matches_bareiss_on_prime_systems(moduli):
 @given(coprime_composite_systems())
 def test_fold_matches_bareiss_on_coprime_composite_systems(moduli):
     check_fold_against_bareiss(moduli, coprime=True)
+
+
+# holds any integer, and raises on any rounding
+EXACT_DECIMALS = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
+)
+
+
+@PROPERTY
+@given(st.one_of(prime_systems, coprime_composite_systems()), st.integers(0, 3))
+def test_decimal_fold_prints_as_the_int_fold(moduli, degree):
+    with decimal.localcontext(EXACT_DECIMALS):
+        in_decimal = list(coverage_polynomials(moduli, degree, decimal.Decimal(1)))
+    in_int = list(coverage_polynomials(moduli, degree))
+    assert all(isinstance(c, decimal.Decimal) for coeffs in in_decimal for c in coeffs)
+    assert [tuple(map(str, coeffs)) for coeffs in in_decimal] == \
+        [tuple(map(str, coeffs)) for coeffs in in_int]
 
 
 @PROPERTY
