@@ -103,18 +103,33 @@ def validate_modulus_system(
         if m in seen:
             raise ValidationError(f"modulus {m} appears more than once")
         seen.add(m)
+    composite = next((m for m in ms if not is_prime(m)), None)
+    if composite is not None:
+        if not coprime_mode:
+            raise ValidationError(f"modulus {composite} is not prime")
+        # distinct primes are coprime, so only a list with a composite is scanned
+        _check_pairwise_coprime(ms)
+    return ModulusSystem(moduli=ms, product=_product(ms))
+
+
+def _check_pairwise_coprime(ms: tuple[int, ...]) -> None:
     product = 1
     for m in ms:
-        if coprime_mode:
-            # coprime to every earlier modulus iff coprime to their product; if not,
-            # an earlier modulus shares the factor, so the scan stops before m
-            if math.gcd(product, m) != 1:
-                partner = next(p for p in ms if math.gcd(p, m) != 1)
-                raise ValidationError(f"moduli {partner} and {m} share a common factor")
-        elif not is_prime(m):
-            raise ValidationError(f"modulus {m} is not prime")
+        # coprime to every earlier modulus iff coprime to their product; if not,
+        # an earlier modulus shares the factor, so the scan stops before m
+        if math.gcd(product, m) != 1:
+            partner = next(p for p in ms if math.gcd(p, m) != 1)
+            raise ValidationError(f"moduli {partner} and {m} share a common factor")
         product *= m
-    return ModulusSystem(moduli=ms, product=product)
+
+
+def _product(ms: tuple[int, ...]) -> int:
+    """Product by a balanced tree over runs of 32 moduli: a running product re-reads
+    the whole product for every factor, which is quadratic once the product is long."""
+    values = [math.prod(ms[i : i + 32]) for i in range(0, len(ms), 32)]
+    while len(values) > 1:
+        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
 
 
 def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int, ...]:

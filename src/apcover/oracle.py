@@ -8,13 +8,17 @@ a wheel tile (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
 strided adds into one period of counters that starts at the chunk's first
 integer, and that period is repeated across the chunk. The remaining moduli
 bump every member of their progression directly (first member located by
-modular arithmetic, no per-integer trial division). Binning counts the
-integers covered exactly j times by one comparison per j = 1..k and takes
-j = 0 as the rest; a chunk of at most ``BINCOUNT_MAX`` integers is binned
-by one ``np.bincount``, which costs less there. Chunks are independent and
-merge by integer addition, so any partition of the window, and any degree
-of parallelism, produces identical results. numpy is imported on the first
-sieve call, before any worker starts, so the exact layers never load it;
+modular arithmetic, no per-integer trial division). Binning reads the
+multiplicities only up to the degree the caller asks for, as the fold of
+``counting.coverage_counts`` stops at x^1: entry j, 1 <= j <= degree, counts
+the integers covered exactly j times by one comparison each; entry 0 is the
+integers left at zero, counted without a comparison. A chunk of at most
+``BINCOUNT_MAX`` integers is binned by one ``np.bincount``, which costs less
+there. Every integer is still sieved: the truncation skips binning passes,
+never part of the window. Chunks are independent and merge by integer
+addition, so any partition of the window, and any degree of parallelism,
+produces identical results. numpy is imported on the first sieve call,
+before any worker starts, so the exact layers never load it;
 ``concurrent.futures`` only when a call runs more than one worker.
 """
 
@@ -35,7 +39,8 @@ CHUNK_SIZE = 1 << 20
 # On a 2-CPU host 210 and 2310 tied, and 30030 cost 1.4x at a 30030 window.
 WHEEL_PERIOD_LIMIT = 2310
 # Chunks up to this length are binned by one np.bincount: its uint8-to-intp copy
-# is small there, and it beat k comparisons below about 1000 * k integers.
+# is small there, and it beat k comparisons below about 1000 * k integers. Longer
+# chunks take one comparison per degree asked for (one for the counts of a check).
 BINCOUNT_MAX = 4096
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
@@ -84,10 +89,12 @@ def _check_product(system: ModulusSystem, config: SieveConfig) -> None:
 
 
 def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
-                     residues: tuple[int, ...]) -> list[int]:
-    """Coverage histogram of the window slice [lo, hi)."""
+                     residues: tuple[int, ...], degree: int | None = None) -> list[int]:
+    """Entries 0..degree (default k) of the coverage histogram of the window slice [lo, hi)."""
     import numpy as np
 
+    k = len(moduli)
+    degree = k if degree is None else degree
     n = hi - lo
     pairs = sorted(zip(moduli, residues))
     period, wheel = 1, 0  # the tile's length and how many moduli it holds
@@ -103,27 +110,31 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
     for p, r in pairs[wheel:]:
         buf[(r - lo) % p :: p] += 1
     if n <= BINCOUNT_MAX:
-        return np.bincount(buf, minlength=len(moduli) + 1).tolist()
-    covered = [int(np.count_nonzero(buf == j)) for j in range(1, len(moduli) + 1)]
-    return [n - sum(covered), *covered]
+        return np.bincount(buf, minlength=k + 1)[: degree + 1].tolist()
+    covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
+    return [n - int(np.count_nonzero(buf)), *covered]
 
 
 def sieve_histogram(
     system: ModulusSystem,
     residues: Iterable[int],
     config: SieveConfig | None = None,
+    degree: int | None = None,
 ) -> tuple[int, ...]:
-    """Entry j counts the integers in [1, product] covered exactly j times,
-    by direct enumeration."""
+    """Entry j, for j = 0..degree (default k), counts the integers in
+    [1, product] covered exactly j times, by direct enumeration."""
     config = config or SieveConfig()
     _check_product(system, config)
     residues = assign_residues(system, residues)
+    degree = system.k if degree is None else degree
+    if not 0 <= degree <= system.k:
+        raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
     product = system.product
-    k = system.k
     moduli = system.moduli
 
     bounds = list(range(1, product + 1, CHUNK_SIZE)) + [product + 1]
-    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli), itertools.repeat(residues))
+    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli),
+                  itertools.repeat(residues), itertools.repeat(degree))
     cpus = _usable_cpus()
     workers = min(config.threads or cpus, cpus, len(bounds) - 1)
     if workers > 1:
@@ -133,15 +144,15 @@ def sieve_histogram(
         import numpy  # noqa: F401  # a first import here, not in several workers at once
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _merge(pool.map(_chunk_histogram, *chunk_args), k)
-    return _merge(map(_chunk_histogram, *chunk_args), k)
+            return _merge(pool.map(_chunk_histogram, *chunk_args), degree)
+    return _merge(map(_chunk_histogram, *chunk_args), degree)
 
 
-def _merge(partials: Iterator[list[int]], k: int) -> tuple[int, ...]:
+def _merge(partials: Iterator[list[int]], degree: int) -> tuple[int, ...]:
     """Exact sum of chunk histograms as each finishes (collecting first raised peak RSS)."""
-    totals = [0] * (k + 1)
+    totals = [0] * (degree + 1)
     for hist in partials:
-        for j in range(k + 1):
+        for j in range(degree + 1):
             totals[j] += hist[j]
     return tuple(totals)
 
@@ -151,12 +162,16 @@ def oracle_counts(
     residues: Iterable[int],
     config: SieveConfig | None = None,
 ) -> CoverageCounts:
-    """Free/available/occupied counts as the sieve actually observes them."""
-    counts = sieve_histogram(system, residues, config)
+    """Free/available/occupied counts as the sieve actually observes them.
+
+    Only the integers covered at most once are binned; every other integer
+    of the window, all of which are sieved, is occupied.
+    """
+    free, once = sieve_histogram(system, residues, config, degree=1)
     return CoverageCounts(
-        available=counts[0] + counts[1],
-        free=counts[0],
-        occupied=sum(counts[2:]),
+        available=free + once,
+        free=free,
+        occupied=system.product - free - once,
         product=system.product,
     )
 

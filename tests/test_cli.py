@@ -607,8 +607,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])", False),
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1'])",
          True),
+        # product 6469693230 is over the default --limit: refused before any sieving
+        ("import apcover.cli; apcover.cli.main(['verify', '--first-k', '10'])", False),
     ],
-    ids=["import", "count", "verify"],
+    ids=["import", "count", "verify", "verify-refused"],
 )
 def test_numpy_is_loaded_only_by_the_sieve(code, loaded):
     assert ("numpy" in modules_loaded_after(code, ("numpy",))) == loaded

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from apcover.core import (
     is_prime,
     validate_modulus_system,
 )
+from apcover.counting import first_primes
 from apcover.errors import ValidationError
 
 
@@ -34,6 +36,18 @@ def test_validate_coprime_mode_accepts_coprime_composites():
 def test_validate_coprime_mode_rejects_shared_factor():
     with pytest.raises(ValidationError, match="moduli 4 and 6 share a common factor"):
         validate_modulus_system([4, 6], coprime_mode=True)
+
+
+def test_validate_coprime_mode_on_first_k_30000_gives_the_prime_system():
+    # distinct primes are coprime: the gcd scan, quadratic in bits, is skipped
+    primes = first_primes(30000)
+    assert validate_modulus_system(primes, coprime_mode=True) == validate_modulus_system(primes)
+
+
+def test_validate_product_matches_a_running_product_past_one_run_of_32():
+    primes = first_primes(200)
+    for k in (31, 32, 33, 64, 65, 97, 200):
+        assert validate_modulus_system(primes[:k]).product == math.prod(primes[:k])
 
 
 def test_validate_coprime_mode_names_the_first_clash_and_its_earliest_partner():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import apcover.oracle as oracle
 from apcover.core import assign_residues, gamma, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
-from apcover.errors import ResourceLimitError
+from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
     SieveConfig,
     oracle_counts,
@@ -262,3 +263,43 @@ def test_sieve_matches_gamma_on_wheel_edge_systems(moduli, chunk_size, monkeypat
     a = assign_residues(s, [rng.randrange(p) for p in moduli])
     monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
     assert list(sieve_histogram(s, a)) == brute_histogram(s, a, 1, s.product + 1)
+
+
+# the same starts and binning paths, every degree: entries 0..degree of the full histogram
+@pytest.mark.parametrize("bincount_max", [0, oracle.BINCOUNT_MAX])
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (13, 2, 3, 5, 7, 11)])
+def test_chunk_histogram_truncates_at_every_degree(moduli, bincount_max, monkeypatch):
+    monkeypatch.setattr(oracle, "BINCOUNT_MAX", bincount_max)
+    s = system(moduli)
+    a = assign_residues(s, [(5 * i + 2) % p for i, p in enumerate(moduli)])
+    for lo in (2, 228, 2311 + 17, 30030 - 6100):
+        for length in (1, 211, 6000):
+            hi = min(lo + length, s.product + 1)
+            if lo < hi:
+                full = brute_histogram(s, a, lo, hi)
+                for degree in range(s.k + 1):
+                    hist = oracle._chunk_histogram(lo, hi, s.moduli, a, degree)
+                    assert hist == full[: degree + 1]
+                    assert all(type(c) is int for c in hist)
+
+
+@pytest.mark.parametrize("degree", [-1, 4])
+def test_sieve_refuses_a_degree_outside_0_to_k(degree):
+    s = system([2, 3, 5])
+    with pytest.raises(ValidationError, match=rf"degree must be in \[0, 3\], got {degree}"):
+        sieve_histogram(s, [0, 0, 0], degree=degree)
+
+
+def test_oracle_counts_asks_the_sieve_for_degree_1(monkeypatch):
+    degrees = []
+    real = oracle.sieve_histogram
+
+    def spy(*args, **kwargs):
+        degrees.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("degree"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sieve_histogram", spy)
+    s = system([2, 3, 5, 7])
+    assert oracle_counts(s, [1, 2, 3, 4]) == coverage_counts(s)
+    assert residue_independence_check(s, trials=3).all_match
+    assert degrees == [1, 1, 1, 1]

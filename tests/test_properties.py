@@ -168,6 +168,31 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size, 
             mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max):
         assert sieve_histogram(s, a, SieveConfig(threads=1)) == exact_coverage_histogram(s)
 
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    moduli=st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
+    residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
+    chunk_size=st.integers(1, 1000),
+    threads=st.sampled_from((1, 2)),
+    bincount_max=st.sampled_from((0, oracle.BINCOUNT_MAX)),  # 0: bin by comparisons
+    degree=st.integers(0, 6),
+)
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000, threads=2,
+         bincount_max=0, degree=1)
+def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, threads,
+                                                 bincount_max, degree):
+    s = validate_modulus_system(moduli, coprime_mode=True)
+    a = assign_residues(s, residues[: s.k])
+    degree %= s.k + 1
+    # two usable CPUs, so threads=2 runs a pool on a one-CPU host too
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
+            mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max), \
+            mock.patch.object(oracle, "_usable_cpus", lambda: 2):
+        assert sieve_histogram(s, a, SieveConfig(threads=threads), degree=degree) == \
+            exact_coverage_histogram(s)[: degree + 1]
+
+
 def smallest_within(moduli, limit=10**5):
     """The smallest moduli, in increasing order, while their product stays within ``limit``."""
     kept = []

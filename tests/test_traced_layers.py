@@ -45,6 +45,18 @@ def test_every_traced_attribute_exists():
     ids=["count", "verify"],
 )
 def test_traced_run_records_the_layer(argv, layer):
+    names = {span[2] for span in traced_spans(argv)}
+    assert layer in names
+
+
+def test_traced_check_wraps_every_sieve_call():
+    # the check calls sieve_histogram through oracle's global, once per assignment
+    spans = traced_spans(("verify", "--primes", "2,3", "--exhaustive"))
+    assert sum(span[2] == "oracle.sieve" for span in spans) == 6
+
+
+def traced_spans(argv):
+    """The spans of one traced CLI run, which must exit 0."""
     marker = load_traced_cli().MARKER
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,5 +69,4 @@ def test_traced_run_records_the_layer(argv, layer):
     assert result.returncode == 0, result.stderr
     span_lines = [line for line in result.stderr.splitlines() if line.startswith(marker)]
     assert len(span_lines) == 1
-    names = {span[2] for span in json.loads(span_lines[0][len(marker):])}
-    assert layer in names
+    return json.loads(span_lines[0][len(marker):])
