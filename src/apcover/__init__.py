@@ -24,7 +24,6 @@ from .counting import (
     oeis_a067549,
 )
 from .determinant import (
-    IntegerMatrix,
     available_det,
     build_available_matrix,
     build_free_matrix,
@@ -35,7 +34,6 @@ from .determinant import (
 from .errors import ApcoverError, ResourceLimitError, ValidationError
 from .oracle import (
     IndependenceReport,
-    SieveConfig,
     oracle_counts,
     residue_independence_check,
     sieve_histogram,
@@ -47,10 +45,8 @@ __all__ = [
     "ApcoverError",
     "CoverageCounts",
     "IndependenceReport",
-    "IntegerMatrix",
     "ModulusSystem",
     "ResourceLimitError",
-    "SieveConfig",
     "ValidationError",
     "assign_residues",
     "available_det",

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -52,7 +51,7 @@ from .determinant import (
     free_det,
 )
 from .errors import ApcoverError, ResourceLimitError, ValidationError
-from .oracle import DEFAULT_PRODUCT_LIMIT, SieveConfig, residue_independence_check
+from .oracle import DEFAULT_PRODUCT_LIMIT, residue_independence_check
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _str_counts(counts: CoverageCounts) -> dict[str, str]:
     """The counts in decimal, in ``CoverageCounts``' field order."""
-    return {name: str(value) for name, value in dataclasses.asdict(counts).items()}
+    return {name: str(value) for name, value in counts._asdict().items()}
 
 
 def _table(records: list[dict[str, Any]]) -> list[list[str]]:
@@ -200,12 +199,12 @@ def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
 
 
 def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
-    config = SieveConfig(product_limit=args.limit, threads=args.threads)
     report = residue_independence_check(
         system,
         trials=args.trials,
         seed=args.seed,
-        config=config,
+        product_limit=args.limit,
+        threads=args.threads,
         exhaustive=args.exhaustive,
     )
     inputs = {

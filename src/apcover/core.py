@@ -1,4 +1,4 @@
-"""Validated domain types for systems of arithmetic progressions.
+"""Validated domain values for systems of arithmetic progressions.
 
 A modulus system is an ordered sequence of pairwise-distinct moduli
 (primes by default, pairwise-coprime integers behind an explicit flag)
@@ -7,22 +7,27 @@ a plain tuple of residues, picks one residue class per modulus; ``gamma``
 is the per-integer coverage multiplicity: in how many of the chosen
 classes an integer lies.
 
-Everything here is immutable after construction and all functions are
-pure, so concurrent use needs no coordination.
+The system and its counts are named tuples, so immutable; ``CoverageCounts``
+refuses counts that break its invariants. All functions are pure, so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 
 MAX_MODULUS = 2**64 - 1
 
-# Known deterministic Miller-Rabin witness set for every n < 3.3e24,
-# which covers the full 64-bit modulus range accepted above.
+# Deterministic Miller-Rabin witness sets. Bases 2, 3, 5, 7 decide every
+# n < 3215031751 = 151 * 751 * 28351, the least strong pseudoprime to all four
+# (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980); the first 12 primes
+# decide every n < 3.3e24, which covers the full 64-bit modulus range accepted above.
+_MR_SMALL_BOUND = 3215031751
+_MR_SMALL_WITNESSES = (2, 3, 5, 7)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -30,7 +35,8 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= 2**64 - 1."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
+    for p in witnesses:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -38,7 +44,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -51,8 +57,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ModulusSystem:
+class ModulusSystem(NamedTuple):
     """k pairwise-distinct moduli in user order, with their exact product."""
 
     moduli: tuple[int, ...]
@@ -63,22 +68,24 @@ class ModulusSystem:
         return len(self.moduli)
 
 
-@dataclass(frozen=True)
-class CoverageCounts:
+class CoverageCounts(namedtuple("CoverageCounts", "available free occupied product")):
     """Exact window counts: gamma = 0 (free), <= 1 (available), >= 2 (occupied)."""
 
-    available: int
-    free: int
-    occupied: int
-    product: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.available, self.free, self.occupied, self.product) < 0:
+    def __new__(cls, available: int, free: int, occupied: int, product: int) -> CoverageCounts:
+        if min(available, free, occupied, product) < 0:
             raise ValueError("coverage counts must be nonnegative")
-        if self.available + self.occupied != self.product:
+        if available + occupied != product:
             raise ValueError("available + occupied must equal product")
-        if not self.free <= self.available <= self.product:
+        if not free <= available <= product:
             raise ValueError("free <= available <= product violated")
+        return super().__new__(cls, available, free, occupied, product)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> CoverageCounts:
+        # namedtuple's own _make, which _replace calls too, would skip the checks
+        return cls(*iterable)
 
 
 def validate_modulus_system(

@@ -2,7 +2,9 @@
 
 The "available" matrix of a system is k x k with the moduli on the
 diagonal and ones everywhere else; the "free" matrix borders it with an
-all-ones first row, making it (k+1) x (k+1). Three ways to evaluate them:
+all-ones first row, making it (k+1) x (k+1). A matrix is a plain tuple of
+rows; both determinant routes refuse one that is empty or not square.
+Three ways to evaluate them:
 
 * ``available_det`` / ``free_det``: one O(k) big-integer fold,
   ``coverage_polynomials``, over prod_i ((p_i - 1) + x). The free count
@@ -20,7 +22,6 @@ fast path to diverge from the exact routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import ModulusSystem
@@ -31,24 +32,18 @@ LAPLACE_MAX_DIMENSION = 8
 MAX_MATRIX_DIMENSION = 300
 
 Number = TypeVar("Number")  # int, or decimal.Decimal for the sequence tables
+Rows = tuple[tuple[int, ...], ...]  # a matrix of arbitrary-precision integers, row by row
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense square matrix of arbitrary-precision integers, as a tuple of rows."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows or any(len(row) != len(self.rows) for row in self.rows):
-            raise ValueError("matrix must be square and nonempty")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
+def _dimension(rows: Sequence[Sequence[int]]) -> int:
+    """n, for an n x n matrix with n >= 1; any other shape is refused."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValidationError("matrix must be square and nonempty")
+    return n
 
 
-def _diagonal_rows(moduli: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
+def _diagonal_rows(moduli: tuple[int, ...], width: int) -> Rows:
     """Row i: ``width`` ones with moduli[i] in column i; refused above the size limit."""
     if width > MAX_MATRIX_DIMENSION:
         raise ResourceLimitError(
@@ -57,28 +52,28 @@ def _diagonal_rows(moduli: tuple[int, ...], width: int) -> tuple[tuple[int, ...]
     return tuple(tuple(p if j == i else 1 for j in range(width)) for i, p in enumerate(moduli))
 
 
-def build_available_matrix(system: ModulusSystem) -> IntegerMatrix:
+def build_available_matrix(system: ModulusSystem) -> Rows:
     """k x k matrix with the moduli on the diagonal, ones elsewhere."""
-    return IntegerMatrix(_diagonal_rows(system.moduli, system.k))
+    return _diagonal_rows(system.moduli, system.k)
 
 
-def build_free_matrix(system: ModulusSystem) -> IntegerMatrix:
+def build_free_matrix(system: ModulusSystem) -> Rows:
     """(k+1) x (k+1) bordered matrix: all-ones first row, then the moduli
     staggered one column left of the diagonal, ones elsewhere."""
     n = system.k + 1
     rows = _diagonal_rows(system.moduli, n)
-    return IntegerMatrix(((1,) * n,) + rows)
+    return ((1,) * n,) + rows
 
 
-def det_bareiss(matrix: IntegerMatrix) -> int:
+def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free elimination.
 
     Partial pivoting on the first nonzero entry in column order with sign
     tracking; every intermediate division is exact, so the result is the
     true integer determinant. Singular matrices return 0.
     """
-    n = matrix.dimension
-    m = [list(row) for row in matrix.rows]
+    n = _dimension(matrix)
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -102,17 +97,17 @@ def det_bareiss(matrix: IntegerMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_laplace(matrix: IntegerMatrix) -> int:
+def det_laplace(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by cofactor expansion along the last row.
 
     Factorially expensive; refused above dimension 8.
     """
-    if matrix.dimension > LAPLACE_MAX_DIMENSION:
+    n = _dimension(matrix)
+    if n > LAPLACE_MAX_DIMENSION:
         raise ValidationError(
-            f"cofactor expansion limited to dimension {LAPLACE_MAX_DIMENSION}, "
-            f"got {matrix.dimension}"
+            f"cofactor expansion limited to dimension {LAPLACE_MAX_DIMENSION}, got {n}"
         )
-    return _laplace(matrix.rows)
+    return _laplace(matrix)
 
 
 def _laplace(rows: Sequence[Sequence[int]]) -> int:

@@ -20,6 +20,10 @@ addition, so any partition of the window, and any degree of parallelism,
 produces identical results. numpy is imported on the first sieve call,
 before any worker starts, so the exact layers never load it;
 ``concurrent.futures`` only when a call runs more than one worker.
+
+The sieve, the counts read from it and the independence check take the same
+two keywords: ``product_limit``, the largest window they sieve, and
+``threads``, the most workers per sieve call (0 = one per usable CPU).
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import CoverageCounts, ModulusSystem, assign_residues
 from .counting import coverage_counts
@@ -50,22 +53,7 @@ SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 
 SIEVE_CALL_INTEGERS = 16384
 
 
-@dataclass(frozen=True)
-class SieveConfig:
-    """The sieve's window limit and most workers per call, 0 = one worker per usable CPU."""
-
-    product_limit: int = DEFAULT_PRODUCT_LIMIT
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.product_limit < 1:
-            raise ValidationError("product_limit must be >= 1")
-        if self.threads < 0:
-            raise ValidationError("threads must be >= 0")
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """Outcome of sieving one system under many residue assignments."""
 
     assignments_tested: int
@@ -81,10 +69,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_product(system: ModulusSystem, config: SieveConfig) -> None:
-    if system.product > config.product_limit:
+def _check_options(product_limit: int, threads: int) -> None:
+    if product_limit < 1:
+        raise ValidationError("product_limit must be >= 1")
+    if threads < 0:
+        raise ValidationError("threads must be >= 0")
+
+
+def _check_product(system: ModulusSystem, product_limit: int) -> None:
+    if system.product > product_limit:
         raise ResourceLimitError(
-            f"product {system.product} exceeds sieve limit {config.product_limit}"
+            f"product {system.product} exceeds sieve limit {product_limit}"
         )
 
 
@@ -118,13 +113,15 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
 def sieve_histogram(
     system: ModulusSystem,
     residues: Iterable[int],
-    config: SieveConfig | None = None,
+    *,
+    product_limit: int = DEFAULT_PRODUCT_LIMIT,
+    threads: int = 1,
     degree: int | None = None,
 ) -> tuple[int, ...]:
     """Entry j, for j = 0..degree (default k), counts the integers in
     [1, product] covered exactly j times, by direct enumeration."""
-    config = config or SieveConfig()
-    _check_product(system, config)
+    _check_options(product_limit, threads)
+    _check_product(system, product_limit)
     residues = assign_residues(system, residues)
     degree = system.k if degree is None else degree
     if not 0 <= degree <= system.k:
@@ -136,7 +133,7 @@ def sieve_histogram(
     chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli),
                   itertools.repeat(residues), itertools.repeat(degree))
     cpus = _usable_cpus()
-    workers = min(config.threads or cpus, cpus, len(bounds) - 1)
+    workers = min(threads or cpus, cpus, len(bounds) - 1)
     if workers > 1:
         # imported here: concurrent.futures loads threading, queue and logging
         from concurrent.futures import ThreadPoolExecutor
@@ -160,14 +157,17 @@ def _merge(partials: Iterator[list[int]], degree: int) -> tuple[int, ...]:
 def oracle_counts(
     system: ModulusSystem,
     residues: Iterable[int],
-    config: SieveConfig | None = None,
+    *,
+    product_limit: int = DEFAULT_PRODUCT_LIMIT,
+    threads: int = 1,
 ) -> CoverageCounts:
     """Free/available/occupied counts as the sieve actually observes them.
 
     Only the integers covered at most once are binned; every other integer
     of the window, all of which are sieved, is occupied.
     """
-    free, once = sieve_histogram(system, residues, config, degree=1)
+    free, once = sieve_histogram(system, residues, product_limit=product_limit,
+                                 threads=threads, degree=1)
     return CoverageCounts(
         available=free + once,
         free=free,
@@ -188,7 +188,9 @@ def residue_independence_check(
     system: ModulusSystem,
     trials: int = 20,
     seed: int = 0,
-    config: SieveConfig | None = None,
+    *,
+    product_limit: int = DEFAULT_PRODUCT_LIMIT,
+    threads: int = 1,
     exhaustive: bool = False,
 ) -> IndependenceReport:
     """Sieve many assignments and compare each against the recurrence counts.
@@ -201,7 +203,7 @@ def residue_independence_check(
     window exceeds the product limit or when assignments x max(product,
     ``SIEVE_CALL_INTEGERS``) exceeds ``SIEVE_BUDGET``.
     """
-    config = config or SieveConfig()
+    _check_options(product_limit, threads)
     expected = coverage_counts(system)
     if exhaustive:
         mode, assignments = "exhaustive", system.product
@@ -211,7 +213,7 @@ def residue_independence_check(
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials
         candidates = _random_assignments(system, trials, seed)
-    _check_product(system, config)
+    _check_product(system, product_limit)
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)
     if sieved > SIEVE_BUDGET:
         raise ResourceLimitError(
@@ -221,7 +223,8 @@ def residue_independence_check(
     tested = 0
     mismatches: list[tuple[tuple[int, ...], CoverageCounts]] = []
     for residues in candidates:
-        observed = oracle_counts(system, residues, config)
+        observed = oracle_counts(system, residues, product_limit=product_limit,
+                                 threads=threads)
         tested += 1
         if observed != expected and len(mismatches) < 5:
             mismatches.append((residues, observed))

@@ -21,7 +21,6 @@ from apcover.counting import (
     oeis_a067549,
 )
 from apcover.determinant import (
-    IntegerMatrix,
     available_det,
     build_available_matrix,
     build_free_matrix,
@@ -181,9 +180,9 @@ def test_criterion_7_cross_oracle_determinants():
         rng = random.Random(727272)
         for _ in range(200):
             dim = rng.randint(1, 6)
-            matrix = IntegerMatrix(tuple(
+            matrix = tuple(
                 tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(dim)
-            ))
+            )
             assert det_laplace(matrix) == det_bareiss(matrix)
 
 

@@ -616,21 +616,27 @@ def test_numpy_is_loaded_only_by_the_sieve(code, loaded):
     assert ("numpy" in modules_loaded_after(code, ("numpy",))) == loaded
 
 
+# modules that add start-up time and that the package loads only where a command needs them
+OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
+
+
 @pytest.mark.parametrize(
-    "code, loaded",
+    "code, names, loaded",
     [
-        ("import apcover.cli", set()),
-        ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])", set()),
+        ("import apcover.cli", OPTIONAL_IMPORTS, set()),
+        ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])",
+         OPTIONAL_IMPORTS, set()),
         ("import apcover.cli; apcover.cli.main(['oeis', '--sequence', 'A067549', '--terms', '3'])",
-         {"decimal"}),
-        # one chunk, so one worker whatever --threads asks for
+         OPTIONAL_IMPORTS, {"decimal"}),
+        # one chunk, so one worker whatever --threads asks for; the sieve loads numpy,
+        # which itself imports inspect, so inspect is not checked here
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1',"
-         " '--threads', '2'])", set()),
+         " '--threads', '2'])", OPTIONAL_IMPORTS[:3], set()),
     ],
     ids=["import", "count", "oeis", "verify-one-chunk"],
 )
-def test_decimal_and_thread_pool_are_loaded_only_where_used(code, loaded):
-    assert modules_loaded_after(code, ("decimal", "concurrent.futures")) == loaded
+def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded):
+    assert modules_loaded_after(code, names) == loaded
 
 
 def modules_loaded_after(code, names):

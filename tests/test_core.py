@@ -80,7 +80,8 @@ def test_validate_idempotent_on_own_output():
 
 @pytest.mark.parametrize(
     "n",
-    [2, 3, 5, 97, 373, 2963, 2147483647, 2**61 - 1],
+    # 3215031749 and 3215031767: the primes either side of the four-witness bound
+    [2, 3, 5, 97, 373, 2963, 2147483647, 3215031749, 3215031767, 2**61 - 1],
 )
 def test_is_prime_on_primes(n):
     assert is_prime(n)
@@ -88,11 +89,18 @@ def test_is_prime_on_primes(n):
 
 @pytest.mark.parametrize(
     "n",
-    [0, 1, 4, 25, 561, 2047, 41041, 3215031751, (2**31 - 1) * (2**13 - 1)],
+    [0, 1, 4, 25, 561, 2047, 41041, 25326001, 3215031751, (2**31 - 1) * (2**13 - 1)],
 )
 def test_is_prime_on_composites(n):
-    # includes Carmichael numbers and strong pseudoprimes to small bases
+    # includes Carmichael numbers and strong pseudoprimes to small bases: 25326001 to
+    # 2, 3 and 5, and 3215031751, the four-witness bound, to 2, 3, 5 and 7
     assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_the_sieve_below_200000():
+    primes = set(first_primes(18000))  # the 17984th prime is the last below 200000
+    assert max(primes) > 200000
+    assert [n for n in range(200000) if is_prime(n) != (n in primes)] == []
 
 
 def test_assign_residues_normalizes():
@@ -160,6 +168,15 @@ def test_coverage_counts_invariants_enforced():
         CoverageCounts(available=2, free=3, occupied=4, product=6)
     with pytest.raises(ValueError):
         CoverageCounts(available=-1, free=0, occupied=7, product=6)
+
+
+def test_coverage_counts_made_or_replaced_are_checked_too():
+    counts = CoverageCounts(available=5, free=2, occupied=1, product=6)
+    assert counts._replace(free=1) == CoverageCounts._make((5, 1, 1, 6))
+    with pytest.raises(ValueError, match="free <= available <= product violated"):
+        counts._replace(free=9)
+    with pytest.raises(ValueError, match="available \\+ occupied must equal product"):
+        CoverageCounts._make((1, 0, 2, 4))
 
 
 def test_gamma_accepts_unreduced_direct_assignment():

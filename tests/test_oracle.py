@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import inspect
 import random
 
@@ -9,7 +10,6 @@ from apcover.core import assign_residues, gamma, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
-    SieveConfig,
     oracle_counts,
     residue_independence_check,
     sieve_histogram,
@@ -65,9 +65,9 @@ def test_thread_count_does_not_change_results(monkeypatch):
     a = assign_residues(s, [1, 1, 2, 3, 5])
     # tiny chunks force a real multi-chunk merge
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 128)
-    seq = sieve_histogram(s, a, SieveConfig(threads=1))
-    par = sieve_histogram(s, a, SieveConfig(threads=4))
-    auto = sieve_histogram(s, a, SieveConfig(threads=0))
+    seq = sieve_histogram(s, a, threads=1)
+    par = sieve_histogram(s, a, threads=4)
+    auto = sieve_histogram(s, a, threads=0)
     assert seq == par == auto
     assert sum(seq) == s.product
 
@@ -91,13 +91,13 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
     expected = (48, 92, 56, 13, 1)
-    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected  # one chunk
+    assert sieve_histogram(s, a, threads=4) == expected  # one chunk
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
-    assert sieve_histogram(s, a, SieveConfig(threads=1)) == expected
+    assert sieve_histogram(s, a, threads=1) == expected
     assert pools == []
-    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected
+    assert sieve_histogram(s, a, threads=4) == expected
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 105)
-    assert sieve_histogram(s, a, SieveConfig(threads=4)) == expected
+    assert sieve_histogram(s, a, threads=4) == expected
     assert pools == [4, 2]  # never more workers than chunks
 
 
@@ -107,14 +107,14 @@ def test_workers_never_exceed_usable_cpus(monkeypatch):
     s = system([2, 3, 5, 7])  # 30 chunks of 7
     a = assign_residues(s, [1, 2, 3, 4])
     for threads in (0, 8):
-        assert sieve_histogram(s, a, SieveConfig(threads=threads)) == (48, 92, 56, 13, 1)
+        assert sieve_histogram(s, a, threads=threads) == (48, 92, 56, 13, 1)
     assert pools == [3, 3]
 
 
 def test_product_limit_refusal():
     s = system([2, 3, 5])
     with pytest.raises(ResourceLimitError, match="product 30 exceeds sieve limit 10"):
-        sieve_histogram(s, assign_residues(s, [0, 0, 0]), SieveConfig(product_limit=10))
+        sieve_histogram(s, assign_residues(s, [0, 0, 0]), product_limit=10)
 
 
 def test_sieve_agrees_with_exact_histogram():
@@ -216,10 +216,16 @@ def test_coprime_mode_counts_match_recurrences():
 
 
 def test_sieve_config_validation():
-    with pytest.raises(ValueError):
-        SieveConfig(product_limit=0)
-    with pytest.raises(ValueError):
-        SieveConfig(threads=-1)
+    s = system([2, 3])
+    for sieve in (functools.partial(sieve_histogram, s, (0, 0)),
+                  functools.partial(oracle_counts, s, (0, 0)),
+                  functools.partial(residue_independence_check, s)):
+        with pytest.raises(ValidationError, match="product_limit must be >= 1"):
+            sieve(product_limit=0)
+        with pytest.raises(ValidationError, match="threads must be >= 0"):
+            sieve(threads=-1)
+        with pytest.raises(ValidationError, match="product_limit must be >= 1"):
+            sieve(product_limit=0, threads=-1)  # the limit is refused first
 
 
 def brute_histogram(s, a, lo, hi):

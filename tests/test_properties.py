@@ -15,7 +15,6 @@ import apcover.oracle as oracle
 from apcover.core import assign_residues, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.determinant import (
-    IntegerMatrix,
     available_det,
     build_available_matrix,
     build_free_matrix,
@@ -25,7 +24,7 @@ from apcover.determinant import (
     free_det,
 )
 from apcover.errors import ValidationError
-from apcover.oracle import SieveConfig, sieve_histogram
+from apcover.oracle import sieve_histogram
 
 # Derandomized so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -134,11 +133,11 @@ SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 
 def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, threads):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
-    whole_window = sieve_histogram(s, a, SieveConfig(threads=1))
+    whole_window = sieve_histogram(s, a, threads=1)
     # four usable CPUs, so the pool runs on a one-CPU host too
     with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
             mock.patch.object(oracle, "_usable_cpus", lambda: 4):
-        assert sieve_histogram(s, a, SieveConfig(threads=threads)) == whole_window
+        assert sieve_histogram(s, a, threads=threads) == whole_window
     assert whole_window == exact_coverage_histogram(s)
 
 
@@ -166,7 +165,7 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size, 
     a = assign_residues(s, residues[: s.k])
     with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
             mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max):
-        assert sieve_histogram(s, a, SieveConfig(threads=1)) == exact_coverage_histogram(s)
+        assert sieve_histogram(s, a, threads=1) == exact_coverage_histogram(s)
 
 
 @settings(PROPERTY, max_examples=40)
@@ -189,7 +188,7 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, t
     with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
             mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max), \
             mock.patch.object(oracle, "_usable_cpus", lambda: 2):
-        assert sieve_histogram(s, a, SieveConfig(threads=threads), degree=degree) == \
+        assert sieve_histogram(s, a, threads=threads, degree=degree) == \
             exact_coverage_histogram(s)[: degree + 1]
 
 
@@ -235,5 +234,4 @@ square_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
 @example(((0, 1, 1), (1, 1, 2), (1, 2, 1)))  # zero pivot: Bareiss swaps rows
 @example(((1, 2), (2, 4)))  # singular
 def test_bareiss_matches_laplace(rows):
-    matrix = IntegerMatrix(rows)
-    assert det_bareiss(matrix) == det_laplace(matrix)
+    assert det_bareiss(rows) == det_laplace(rows)
