@@ -15,6 +15,7 @@ concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from typing import Iterable, NamedTuple
 
@@ -88,6 +89,20 @@ class CoverageCounts(namedtuple("CoverageCounts", "available free occupied produ
         return cls(*iterable)
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints by ``__index__``: a float or a str is refused, not truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValidationError(f"{what} {v!r} is not an integer") from None
+        raise
+
+
 def validate_modulus_system(
     moduli: Iterable[int], coprime_mode: bool = False
 ) -> ModulusSystem:
@@ -97,7 +112,7 @@ def validate_modulus_system(
     prime; with it true pairwise coprimality is enough, which is all the
     counting identities actually require.
     """
-    ms = tuple(int(m) for m in moduli)
+    ms = _integers(moduli, "modulus")
     if not ms:
         raise ValidationError("at least one modulus is required")
     for m in ms:
@@ -146,7 +161,7 @@ def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int
     sequence of integers of the right length, unreduced or negative, is a
     valid assignment.
     """
-    rs = tuple(int(r) for r in residues)
+    rs = _integers(residues, "residue")
     if len(rs) != system.k:
         raise ValidationError(f"expected {system.k} residues, got {len(rs)}")
     return tuple(r % p for r, p in zip(rs, system.moduli))

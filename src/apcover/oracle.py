@@ -1,25 +1,23 @@
 """Brute-force sieve over [1, product]: the ground truth for the identities.
 
-For a concrete residue assignment the sieve walks the window in chunks
-and keeps a one-byte coverage counter per integer. Each chunk starts from
-a wheel tile (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
-1982): the chunk's smallest moduli, while their product stays within
-``WHEEL_PERIOD_LIMIT`` and the chunk's length, are sieved by the same
-strided adds into one period of counters that starts at the chunk's first
-integer, and that period is repeated across the chunk. The remaining moduli
-bump every member of their progression directly (first member located by
-modular arithmetic, no per-integer trial division). Binning reads the
-multiplicities only up to the degree the caller asks for, as the fold of
+For a concrete residue assignment the sieve walks the window in chunks and
+keeps a one-byte coverage counter per integer. Each chunk starts from a wheel
+tile (Pritchard, "Explaining the wheel sieve", Acta Informatica 17, 1982): the
+chunk's smallest moduli, while their product stays within
+``WHEEL_PERIOD_LIMIT`` and the chunk's length, are sieved by the same strided
+adds into one period of counters that starts at the chunk's first integer, and
+that period is repeated across the chunk. The remaining moduli bump every
+member of their progression directly (first member located by modular
+arithmetic, no per-integer trial division). Binning reads the multiplicities
+only up to the degree the caller asks for, as the fold of
 ``counting.coverage_counts`` stops at x^1: entry j, 1 <= j <= degree, counts
 the integers covered exactly j times by one comparison each; entry 0 is the
-integers left at zero, counted without a comparison. A chunk of at most
-``BINCOUNT_MAX`` integers is binned by one ``np.bincount``, which costs less
-there. Every integer is still sieved: the truncation skips binning passes,
-never part of the window. Chunks are independent and merge by integer
-addition, so any partition of the window, and any degree of parallelism,
-produces identical results. numpy is imported on the first sieve call,
-before any worker starts, so the exact layers never load it;
-``concurrent.futures`` only when a call runs more than one worker.
+integers left at zero, counted without a comparison. Every integer is still
+sieved: the truncation skips binning passes, never part of the window. Chunks
+are independent and merge by integer addition, so any partition of the window,
+and any degree of parallelism, produces identical results. numpy is imported
+on the first sieve call, before any worker starts, so the exact layers never
+load it; ``concurrent.futures`` only when a call runs more than one worker.
 
 The sieve, the counts read from it and the independence check take the same
 two keywords: ``product_limit``, the largest window they sieve, and
@@ -41,10 +39,6 @@ CHUNK_SIZE = 1 << 20
 # Moduli whose product is at most this are sieved into one tile per chunk.
 # On a 2-CPU host 210 and 2310 tied, and 30030 cost 1.4x at a 30030 window.
 WHEEL_PERIOD_LIMIT = 2310
-# Chunks up to this length are binned by one np.bincount: its uint8-to-intp copy
-# is small there, and it beat k comparisons below about 1000 * k integers. Longer
-# chunks take one comparison per degree asked for (one for the counts of a check).
-BINCOUNT_MAX = 4096
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
 # A sieve call costs at least what sieving this many integers does: a call at
@@ -78,18 +72,14 @@ def _check_options(product_limit: int, threads: int) -> None:
 
 def _check_product(system: ModulusSystem, product_limit: int) -> None:
     if system.product > product_limit:
-        raise ResourceLimitError(
-            f"product {system.product} exceeds sieve limit {product_limit}"
-        )
+        raise ResourceLimitError(f"product {system.product} exceeds sieve limit {product_limit}")
 
 
 def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
-                     residues: tuple[int, ...], degree: int | None = None) -> list[int]:
-    """Entries 0..degree (default k) of the coverage histogram of the window slice [lo, hi)."""
+                     residues: tuple[int, ...], degree: int) -> list[int]:
+    """Entries 0..degree of the coverage histogram of the window slice [lo, hi)."""
     import numpy as np
 
-    k = len(moduli)
-    degree = k if degree is None else degree
     n = hi - lo
     pairs = sorted(zip(moduli, residues))
     period, wheel = 1, 0  # the tile's length and how many moduli it holds
@@ -104,8 +94,6 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
     buf = tile if period == n else np.tile(tile, -(-n // period))[:n]
     for p, r in pairs[wheel:]:
         buf[(r - lo) % p :: p] += 1
-    if n <= BINCOUNT_MAX:
-        return np.bincount(buf, minlength=k + 1)[: degree + 1].tolist()
     covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
     return [n - int(np.count_nonzero(buf)), *covered]
 
@@ -126,11 +114,8 @@ def sieve_histogram(
     degree = system.k if degree is None else degree
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
-    product = system.product
-    moduli = system.moduli
-
-    bounds = list(range(1, product + 1, CHUNK_SIZE)) + [product + 1]
-    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(moduli),
+    bounds = list(range(1, system.product + 1, CHUNK_SIZE)) + [system.product + 1]
+    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(system.moduli),
                   itertools.repeat(residues), itertools.repeat(degree))
     cpus = _usable_cpus()
     workers = min(threads or cpus, cpus, len(bounds) - 1)

@@ -40,6 +40,14 @@ def test_count_golden(capsys):
     assert record["timing_ms"] is None
 
 
+def test_readme_example_is_the_real_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    prompt = "$ apcover count --primes 2,3,5\n"
+    start = readme.index(prompt) + len(prompt)
+    example = readme[start : readme.index("```", start)]
+    assert run(capsys, "count", "--primes", "2,3,5") == (0, example, "")
+
+
 def test_count_single_prime(capsys):
     code, record, _ = run_json(capsys, "count", "--primes", "2")
     assert code == 0

@@ -72,6 +72,34 @@ def test_validate_rejections(moduli, reason):
         validate_modulus_system(moduli)
 
 
+@pytest.mark.parametrize(
+    "moduli, reason",
+    [
+        ([2.9, 3.7, 5], "modulus 2.9 is not an integer"),  # int() would truncate to (2, 3, 5)
+        ([2, 3, 5.0], "modulus 5.0 is not an integer"),
+        (["7", "11"], "modulus '7' is not an integer"),
+    ],
+    ids=["floats", "integral-float", "strings"],
+)
+def test_validate_refuses_non_integers(moduli, reason):
+    with pytest.raises(ValidationError, match=reason):
+        validate_modulus_system(moduli)
+
+
+def test_numpy_integers_are_taken_and_numpy_floats_refused():
+    import numpy as np
+
+    system = validate_modulus_system([np.int64(7), 2, np.uint8(3)])
+    assert system == ((7, 2, 3), 42)
+    assert all(type(m) is int for m in system.moduli) and type(system.product) is int
+    assert assign_residues(system, [np.int64(-1), 3, np.int32(4)]) == (6, 1, 1)
+    # a 0-d float array has __index__, which raises; int() would truncate it to 2
+    with pytest.raises(ValidationError, match=r"residue array\(2\.5\) is not an integer"):
+        assign_residues(system, [0, np.array(2.5), 1])
+    with pytest.raises(ValidationError, match=r"modulus (np\.float64\()?5\.0\)? is not an integer"):
+        validate_modulus_system([2, 3, np.float64(5.0)])
+
+
 def test_validate_idempotent_on_own_output():
     system = validate_modulus_system([7, 2, 13])
     again = validate_modulus_system(system.moduli)
@@ -106,6 +134,21 @@ def test_is_prime_agrees_with_the_sieve_below_200000():
 def test_assign_residues_normalizes():
     system = validate_modulus_system([2, 3])
     assert assign_residues(system, [7, -1]) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "residues, reason",
+    [
+        ([1.9, 2.5, 4], "residue 1.9 is not an integer"),  # int() would give (1, 2, 4)
+        ([1, 2, "4"], "residue '4' is not an integer"),
+        ((r for r in [0, 1.0, 2]), "residue 1.0 is not an integer"),  # a one-pass iterable
+    ],
+    ids=["floats", "string", "generator"],
+)
+def test_assign_residues_refuses_non_integers(residues, reason):
+    system = validate_modulus_system([2, 3, 5])
+    with pytest.raises(ValidationError, match=reason):
+        assign_residues(system, residues)
 
 
 def test_assign_residues_length_check():

@@ -236,19 +236,16 @@ def brute_histogram(s, a, lo, hi):
     return counts
 
 
-# chunk starts off 1 + 210Z, so a wheel tile must be shifted to each chunk's start;
-# a BINCOUNT_MAX of 0 bins every chunk by comparisons
-@pytest.mark.parametrize("bincount_max", [0, oracle.BINCOUNT_MAX])
+# chunk starts off 1 + 210Z, so a wheel tile must be shifted to each chunk's start
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (11, 2, 7, 3, 5), (13, 2, 3, 5, 7, 11)])
-def test_chunk_histogram_matches_gamma_at_any_start(moduli, bincount_max, monkeypatch):
-    monkeypatch.setattr(oracle, "BINCOUNT_MAX", bincount_max)
+def test_chunk_histogram_matches_gamma_at_any_start(moduli):
     s = system(moduli)
     a = assign_residues(s, [(7 * i + 3) % p for i, p in enumerate(moduli)])
     for lo in (2, 5, 100, 228, 1000, 2300, 2311 + 17, 30030 - 6100):
         for length in (1, 209, 211, 2311, 6000):
             hi = min(lo + length, s.product + 1)
             if lo < hi:
-                hist = oracle._chunk_histogram(lo, hi, s.moduli, a)
+                hist = oracle._chunk_histogram(lo, hi, s.moduli, a, s.k)
                 assert hist == brute_histogram(s, a, lo, hi)
                 assert all(type(c) is int for c in hist)
 
@@ -271,11 +268,9 @@ def test_sieve_matches_gamma_on_wheel_edge_systems(moduli, chunk_size, monkeypat
     assert list(sieve_histogram(s, a)) == brute_histogram(s, a, 1, s.product + 1)
 
 
-# the same starts and binning paths, every degree: entries 0..degree of the full histogram
-@pytest.mark.parametrize("bincount_max", [0, oracle.BINCOUNT_MAX])
+# the same starts, every degree: entries 0..degree of the full histogram
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (13, 2, 3, 5, 7, 11)])
-def test_chunk_histogram_truncates_at_every_degree(moduli, bincount_max, monkeypatch):
-    monkeypatch.setattr(oracle, "BINCOUNT_MAX", bincount_max)
+def test_chunk_histogram_truncates_at_every_degree(moduli):
     s = system(moduli)
     a = assign_residues(s, [(5 * i + 2) % p for i, p in enumerate(moduli)])
     for lo in (2, 228, 2311 + 17, 30030 - 6100):

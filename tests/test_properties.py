@@ -153,18 +153,14 @@ WHEEL_SYSTEMS = ((2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13), (11, 2, 7, 3, 5),
     moduli=st.sampled_from(WHEEL_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
     chunk_size=st.integers(1, 1000),
-    bincount_max=st.sampled_from((0, oracle.BINCOUNT_MAX)),  # 0: bin by comparisons
 )
-@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000,
-         bincount_max=0)
-@example(moduli=(11, 2, 7, 3, 5), residues=[0] * 6, chunk_size=211, bincount_max=0)
-@example(moduli=(211, 223), residues=[5, 7] + [0] * 4, chunk_size=997,
-         bincount_max=oracle.BINCOUNT_MAX)
-def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size, bincount_max):
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000)
+@example(moduli=(11, 2, 7, 3, 5), residues=[0] * 6, chunk_size=211)
+@example(moduli=(211, 223), residues=[5, 7] + [0] * 4, chunk_size=997)
+def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
-            mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max):
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
         assert sieve_histogram(s, a, threads=1) == exact_coverage_histogram(s)
 
 
@@ -174,19 +170,16 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size, 
     residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
     chunk_size=st.integers(1, 1000),
     threads=st.sampled_from((1, 2)),
-    bincount_max=st.sampled_from((0, oracle.BINCOUNT_MAX)),  # 0: bin by comparisons
     degree=st.integers(0, 6),
 )
 @example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000, threads=2,
-         bincount_max=0, degree=1)
-def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, threads,
-                                                 bincount_max, degree):
+         degree=1)
+def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, threads, degree):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
     degree %= s.k + 1
     # two usable CPUs, so threads=2 runs a pool on a one-CPU host too
     with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
-            mock.patch.object(oracle, "BINCOUNT_MAX", bincount_max), \
             mock.patch.object(oracle, "_usable_cpus", lambda: 2):
         assert sieve_histogram(s, a, threads=threads, degree=degree) == \
             exact_coverage_histogram(s)[: degree + 1]
