@@ -15,9 +15,24 @@ the integers covered exactly j times by one comparison each; entry 0 is the
 integers left at zero, counted without a comparison. Every integer is still
 sieved: the truncation skips binning passes, never part of the window. Chunks
 are independent and merge by integer addition, so any partition of the window,
-and any degree of parallelism, produces identical results. numpy is imported
-on the first sieve call, before any worker starts, so the exact layers never
-load it; ``concurrent.futures`` only when a call runs more than one worker.
+and any degree of parallelism, produces identical results.
+
+A window that fits in one chunk and that an exhaustive check admits (product
+at most 10^5 under ``SIEVE_BUDGET``) starts from the counters of every modulus
+but the system's last, kept in a one-entry cache keyed by the window and those
+moduli and residues; it adds the last modulus by one strided add and bins as
+above. An exhaustive check changes only the last residue between consecutive
+assignments, except when that residue wraps, so it fills the other k - 1
+moduli once per run of p_k assignments, p_k being the last modulus listed:
+the gain is large only when that modulus is. Each assignment still gets, and
+bins, its own counters. The cached counters are read-only and every call adds
+to its own copy, so concurrent callers stay safe. A random check misses the
+cache on almost every call; other windows never touch it, so it holds at most
+10^5 bytes.
+
+numpy is imported on the first sieve call, before any worker starts, so the
+exact layers never load it; ``concurrent.futures`` only when a call runs more
+than one worker.
 
 The sieve, the counts read from it and the independence check take the same
 two keywords: ``product_limit``, the largest window they sieve, and
@@ -26,6 +41,7 @@ two keywords: ``product_limit``, the largest window they sieve, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -41,9 +57,11 @@ CHUNK_SIZE = 1 << 20
 WHEEL_PERIOD_LIMIT = 2310
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
-# A sieve call costs at least what sieving this many integers does: a call at
-# product 6 took 14-21 us on a 2-CPU host, as long as ~14000 integers of a large
-# window at 650-940 M/s (2 threads), so each call is charged at least this much.
+# A sieve call costs at least what sieving this many integers does: on a 2-CPU
+# host a call at product 6 took 10-13 us when it reused the cached counters (an
+# exhaustive check) and 20-25 us when it refilled them (a random one), as long
+# as 9500-37500 integers of a large window at 0.95-1.5 G/s (2 threads), so
+# each call is charged at least this much.
 SIEVE_CALL_INTEGERS = 16384
 
 
@@ -75,9 +93,8 @@ def _check_product(system: ModulusSystem, product_limit: int) -> None:
         raise ResourceLimitError(f"product {system.product} exceeds sieve limit {product_limit}")
 
 
-def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
-                     residues: tuple[int, ...], degree: int) -> list[int]:
-    """Entries 0..degree of the coverage histogram of the window slice [lo, hi)."""
+def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
+    """One uint8 coverage counter per integer of [lo, hi): the wheel tile, then strided adds."""
     import numpy as np
 
     n = hi - lo
@@ -91,11 +108,34 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
     tile = np.zeros(period, dtype=np.uint8)
     for p, r in pairs[:wheel]:
         tile[(r - lo) % p :: p] += 1
-    buf = tile if period == n else np.tile(tile, -(-n // period))[:n]
+    # np.tile's copy, without the ~3 us of its Python wrapper
+    buf = tile if period == n else tile[None].repeat(-(-n // period), axis=0).ravel()[:n]
     for p, r in pairs[wheel:]:
         buf[(r - lo) % p :: p] += 1
+    return buf
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_fill(hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
+    """The counters of [1, hi) for ``moduli``, kept for the next call and so
+    made read-only: every caller adds to its own copy."""
+    buf = _fill(1, hi, moduli, residues)
+    buf.flags.writeable = False
+    return buf
+
+
+def _bin(buf, degree: int) -> list[int]:
+    """Entries 0..degree of the histogram of the counters ``buf``."""
+    import numpy as np
+
     covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
-    return [n - int(np.count_nonzero(buf)), *covered]
+    return [len(buf) - int(np.count_nonzero(buf)), *covered]
+
+
+def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
+                     residues: tuple[int, ...], degree: int) -> list[int]:
+    """Entries 0..degree of the coverage histogram of the window slice [lo, hi)."""
+    return _bin(_fill(lo, hi, moduli, residues), degree)
 
 
 def sieve_histogram(
@@ -114,6 +154,14 @@ def sieve_histogram(
     degree = system.k if degree is None else degree
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
+    if (system.product <= CHUNK_SIZE
+            and system.product * max(system.product, SIEVE_CALL_INTEGERS) <= SIEVE_BUDGET):
+        # one chunk of a window that an exhaustive check admits (only it
+        # reuses the counters): a copy of the shared ones of all moduli but the last
+        buf = _shared_fill(system.product + 1, system.moduli[:-1], residues[:-1]).copy()
+        p, r = system.moduli[-1], residues[-1]
+        buf[(r - 1) % p :: p] += 1
+        return tuple(_bin(buf, degree))
     bounds = list(range(1, system.product + 1, CHUNK_SIZE)) + [system.product + 1]
     chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(system.moduli),
                   itertools.repeat(residues), itertools.repeat(degree))

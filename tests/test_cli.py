@@ -265,7 +265,7 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         # each sieve call is charged at least SIEVE_CALL_INTEGERS = 16384 integers
         (("verify", "--primes", "2,3", "--trials", "1000000000"), 3,
          "16384000000000 integers to sieve exceed the random budget 10000000000"),
-        # 2.4 million calls of 15-21 us each would run 35-50 s; the limit is ~610000 trials
+        # 2.4 million calls of 10-25 us each would run 24-60 s; the limit is ~610000 trials
         (("verify", "--primes", "2,3", "--trials", "2400000"), 3,
          "39321600000 integers to sieve exceed the random budget 10000000000"),
         (("det", "--first-k", "30000", "--which", "available", "--method", "bareiss"), 3,

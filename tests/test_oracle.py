@@ -1,12 +1,14 @@
 import concurrent.futures
 import functools
 import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
 import apcover.oracle as oracle
-from apcover.core import assign_residues, gamma, validate_modulus_system
+from apcover.core import CoverageCounts, assign_residues, gamma, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
@@ -304,3 +306,76 @@ def test_oracle_counts_asks_the_sieve_for_degree_1(monkeypatch):
     assert oracle_counts(s, [1, 2, 3, 4]) == coverage_counts(s)
     assert residue_independence_check(s, trials=3).all_match
     assert degrees == [1, 1, 1, 1]
+
+
+def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypatch):
+    s = system([5, 2, 3])  # the first five assignments change the second residue too
+    monkeypatch.setattr(oracle, "coverage_counts", lambda _: coverage_counts(system([2, 3, 7])))
+    report = residue_independence_check(s, exhaustive=True)
+    assert report.assignments_tested == 30
+    assert not report.all_match
+    assert report.expected == coverage_counts(system([2, 3, 7]))
+    first_five = list(itertools.islice(itertools.product(range(5), range(2), range(3)), 5))
+    assert [residues for residues, _ in report.mismatches] == first_five
+    for residues, observed in report.mismatches:
+        free, once, *_ = brute_histogram(s, residues, 1, s.product + 1)
+        assert observed == CoverageCounts(available=free + once, free=free,
+                                          occupied=s.product - free - once, product=s.product)
+
+
+def test_cached_counters_are_read_only_and_unchanged():
+    s = system([2, 3, 5, 7, 11])
+    window = s.product + 1
+    first = assign_residues(s, [1, 2, 3, 4, 5])
+    oracle._shared_fill.cache_clear()
+    assert list(sieve_histogram(s, first)) == brute_histogram(s, first, 1, window)
+    cached = oracle._shared_fill(window, s.moduli[:-1], first[:-1])
+    assert oracle._shared_fill.cache_info().hits == 1  # the sieve's own entry
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] += 1
+    assert (cached == oracle._fill(1, window, s.moduli[:-1], first[:-1])).all()
+    # the next call reuses the entry, and its last modulus lands on a copy
+    other_last = first[:-1] + (9,)
+    assert list(sieve_histogram(s, other_last)) == brute_histogram(s, other_last, 1, window)
+    assert oracle._shared_fill.cache_info().hits == 2
+    assert (cached == oracle._fill(1, window, s.moduli[:-1], first[:-1])).all()
+
+
+def test_multi_chunk_window_leaves_the_cache_alone(monkeypatch):
+    s = system([2, 3, 5, 7])
+    assert sieve_histogram(s, [1, 2, 3, 4]) == (48, 92, 56, 13, 1)  # one chunk: cached
+    before = oracle._shared_fill.cache_info()
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 100)
+    for residues in ([1, 2, 3, 4], [1, 2, 3, 5], [0, 0, 0, 0]):
+        assert sieve_histogram(s, residues) == (48, 92, 56, 13, 1)
+    assert oracle._shared_fill.cache_info() == before
+
+
+def test_one_chunk_window_beyond_exhaustive_reach_leaves_the_cache_alone():
+    # 510510 fits one chunk, but 510510^2 integers exceed SIEVE_BUDGET, so no
+    # exhaustive check reuses it: a random one would only refill the cache
+    s = system([2, 3, 5, 7, 11, 13, 17])
+    assert s.product <= oracle.CHUNK_SIZE
+    assert s.product * s.product > oracle.SIEVE_BUDGET
+    sieve_histogram(system([2, 3, 5, 7]), [1, 2, 3, 4])
+    before = oracle._shared_fill.cache_info()
+    for residues in ([1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 8]):
+        assert sieve_histogram(s, residues, degree=1) == exact_coverage_histogram(s)[:2]
+    assert oracle._shared_fill.cache_info() == before
+
+
+def test_concurrent_callers_share_the_cached_counters_safely():
+    s = system([2, 3, 5, 7, 11])
+    expected = exact_coverage_histogram(s)
+    # 6 leading prefixes, each followed by its 11 last residues, three times over
+    assignments = [(a, b, 0, 0, last) for a in range(2) for b in range(3) for last in range(11)] * 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda a: sieve_histogram(s, a), assignments, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    # a caller that wrote to the shared counters would skew every later reader
+    assert results == [expected] * len(assignments)

@@ -185,6 +185,43 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, t
             exact_coverage_histogram(s)[: degree + 1]
 
 
+# Residues from {0, 1, 2} but the last, so consecutive calls often share the
+# cached counters of all moduli but the last; chunk sizes of 97 and 1000 split
+# most of these windows, which must then bypass the cache.
+sieve_calls = st.lists(st.tuples(
+    st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
+    st.lists(st.integers(0, 2), min_size=5, max_size=5),
+    st.integers(-10**6, 10**6),
+    st.integers(0, 6),
+    st.sampled_from((1 << 20, 97, 1000)),
+), min_size=1, max_size=8)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(sieve_calls)
+@example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], last, 1, 1 << 20) for last in range(4)]
+         + [((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], 0, 1, 97),
+            ((2, 3, 5, 7), [1, 2, 0, 1, 0], 3, 4, 1 << 20),
+            ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], 5, 5, 1 << 20)])
+def test_cached_sieve_equals_a_cold_one(calls):
+    def run(cold):
+        results = []
+        for moduli, leading, last, degree, chunk_size in calls:
+            s = validate_modulus_system(moduli, coprime_mode=True)
+            residues = [*leading[: s.k - 1], last]
+            if cold:
+                oracle._shared_fill.cache_clear()
+            with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+                results.append(sieve_histogram(s, residues, degree=degree % (s.k + 1)))
+        return results
+
+    warm = run(cold=False)
+    assert warm == run(cold=True)
+    for (moduli, _, _, _, _), hist in zip(calls, warm):
+        s = validate_modulus_system(moduli, coprime_mode=True)
+        assert hist == exact_coverage_histogram(s)[: len(hist)]
+
+
 def smallest_within(moduli, limit=10**5):
     """The smallest moduli, in increasing order, while their product stays within ``limit``."""
     kept = []
