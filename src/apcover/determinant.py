@@ -28,7 +28,9 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 from .core import ModulusSystem
 from .errors import ResourceLimitError, ValidationError
 
-LAPLACE_MAX_DIMENSION = 8
+# Cofactor expansion of a dense random n x n matrix took 15-25 ms at n = 12 and
+# 0.4-0.6 s at 16 on a 2-CPU host; the bordered 13 x 13 free matrix took 0.4 ms.
+LAPLACE_MAX_DIMENSION = 12
 # Bareiss on a 300 x 300 available matrix took 43 s on a 2-CPU host
 MAX_MATRIX_DIMENSION = 300
 
@@ -101,8 +103,8 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
 def det_laplace(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by cofactor expansion along the last row.
 
-    Each minor is evaluated once, so an n x n matrix costs n * 2^n products
-    rather than n!; refused above dimension 8 all the same.
+    Each minor is evaluated once, so an n x n matrix costs at most n * 2^n
+    products rather than n!; refused above ``LAPLACE_MAX_DIMENSION`` (12).
     """
     n = _dimension(matrix)
     if n > LAPLACE_MAX_DIMENSION:

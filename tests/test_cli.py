@@ -147,18 +147,18 @@ def test_det_available_bareiss_generalized(capsys):
 
 
 def test_det_laplace_cap_exits_2(capsys):
-    # free matrix of 8 moduli is 9x9, over the expansion cap
+    # free matrix of 12 moduli is 13x13, over the expansion cap
     code, _, err = run(
-        capsys, "det", "--first-k", "8", "--which", "free", "--method", "laplace"
+        capsys, "det", "--first-k", "12", "--which", "free", "--method", "laplace"
     )
     assert code == 2
     assert "dimension" in err
-    # the available matrix of 8 moduli is exactly at the cap
+    # the available matrix of 12 moduli is exactly at the cap
     code, record, _ = run_json(
-        capsys, "det", "--first-k", "8", "--which", "available", "--method", "laplace"
+        capsys, "det", "--first-k", "12", "--which", "available", "--method", "laplace"
     )
     assert code == 0
-    assert record["results"]["value"] == "5338368"
+    assert record["results"]["value"] == "3708532408320"
 
 
 def test_verify_exhaustive(capsys):
@@ -236,8 +236,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
     [
         (("count", "--primes", "4,3"), 2, "modulus 4 is not prime"),
         (("count", "--primes", ","), 2, "at least one modulus is required"),
-        (("det", "--first-k", "8", "--which", "free", "--method", "laplace"), 2,
-         "limited to dimension 8, got 9"),
+        (("det", "--first-k", "12", "--which", "free", "--method", "laplace"), 2,
+         "limited to dimension 12, got 13"),
         (("verify", "--primes", "2,3", "--trials", "0"), 2, "trials must be >= 1"),
         (("verify", "--primes", "2,3", "--threads", "-1"), 2, "threads must be >= 0"),
         (("verify", "--primes", "2,3", "--limit", "0"), 2, "product_limit must be >= 1"),
@@ -288,7 +288,7 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("frobnicate",), 2, "invalid choice: 'frobnicate'"),
     ],
     ids=[
-        "composite", "empty", "laplace-dimension-9", "trials-0", "threads-negative",
+        "composite", "empty", "laplace-dimension-13", "trials-0", "threads-negative",
         "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
         "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",

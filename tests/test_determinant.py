@@ -78,9 +78,9 @@ def test_det_laplace_golden():
 
 
 def test_det_laplace_dimension_cap():
-    nine = tuple(tuple(range(9 * i, 9 * i + 9)) for i in range(9))
-    with pytest.raises(ValidationError, match="limited to dimension 8, got 9"):
-        det_laplace(nine)
+    thirteen = tuple(tuple(range(13 * i, 13 * i + 13)) for i in range(13))
+    with pytest.raises(ValidationError, match="limited to dimension 12, got 13"):
+        det_laplace(thirteen)
 
 
 def random_matrix(rng, dim):
@@ -94,8 +94,16 @@ def test_laplace_equals_bareiss_on_random_matrices():
         assert det_laplace(m) == det_bareiss(m)
     # a couple at the cap, where expansion is slowest
     for _ in range(2):
-        m = random_matrix(rng, 8)
+        m = random_matrix(rng, 12)
         assert det_laplace(m) == det_bareiss(m)
+
+
+@pytest.mark.parametrize("k", range(8, 12))
+def test_laplace_equals_bareiss_on_the_bordered_matrices(k):
+    # the free matrix of k moduli is (k + 1) x (k + 1), within the cap up to k = 11
+    s = system(FIRST_PRIMES[:k])
+    for matrix in (build_available_matrix(s), build_free_matrix(s)):
+        assert det_laplace(matrix) == det_bareiss(matrix)
 
 
 def test_available_det_golden():

@@ -185,41 +185,55 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, t
             exact_coverage_histogram(s)[: degree + 1]
 
 
-# Residues from {0, 1, 2} but the last, so consecutive calls often share the
-# cached counters of all moduli but the last; chunk sizes of 97 and 1000 split
-# most of these windows, which must then bypass the cache.
-sieve_calls = st.lists(st.tuples(
+# Runs of 3 to 6 calls that share every residue but the last and step the
+# last up by 1 (wrapping mod its modulus), which a table serves once the last
+# modulus pays for one (every run when the threshold is 1); residues from
+# {0, 1, 2} but the last, so consecutive runs often share them too; chunk
+# sizes of 97 and 1000 split most of these windows, which must then bypass
+# both caches.
+sieve_runs = st.lists(st.tuples(
     st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
     st.lists(st.integers(0, 2), min_size=5, max_size=5),
-    st.integers(-10**6, 10**6),
+    st.builds(lambda start, n: range(start, start + n), st.integers(-10**6, 10**6),
+              st.integers(3, 6)),
     st.integers(0, 6),
     st.sampled_from((1 << 20, 97, 1000)),
-), min_size=1, max_size=8)
+), min_size=1, max_size=4)
+
+
+def clear_sieve_caches():
+    oracle._shared_fill.cache_clear()
+    oracle._residue_table.cache_clear()
+    oracle._last_call = None
 
 
 @settings(PROPERTY, max_examples=30)
-@given(sieve_calls)
-@example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], last, 1, 1 << 20) for last in range(4)]
-         + [((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], 0, 1, 97),
-            ((2, 3, 5, 7), [1, 2, 0, 1, 0], 3, 4, 1 << 20),
-            ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], 5, 5, 1 << 20)])
-def test_cached_sieve_equals_a_cold_one(calls):
+@given(sieve_runs, st.sampled_from((1, oracle.TABLE_MIN_CALLS)))
+@example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2, 3], 1, 1 << 20),
+          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2], 1, 97),
+          ((2, 3, 5, 7), [1, 2, 0, 1, 0], [3, 4, 5], 4, 1 << 20),
+          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [9, 10, 11, 12], 5, 1 << 20)], 1)
+@example([((2, 3, 5, 7, 11, 13), [1, 2, 0, 1, 0], [11, 12, 13, 14, 0], 1, 1 << 20),
+          ((13, 11, 7, 5, 3, 2), [1, 2, 0, 1, 0], [0, 1, 2], 6, 1 << 20)], oracle.TABLE_MIN_CALLS)
+def test_cached_sieve_equals_a_cold_one(runs, table_min_calls):
     def run(cold):
         results = []
-        for moduli, leading, last, degree, chunk_size in calls:
+        for moduli, leading, lasts, degree, chunk_size in runs:
             s = validate_modulus_system(moduli, coprime_mode=True)
-            residues = [*leading[: s.k - 1], last]
-            if cold:
-                oracle._shared_fill.cache_clear()
-            with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
-                results.append(sieve_histogram(s, residues, degree=degree % (s.k + 1)))
+            for last in lasts:
+                if cold:
+                    clear_sieve_caches()
+                with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
+                        mock.patch.object(oracle, "TABLE_MIN_CALLS", table_min_calls):
+                    results.append(sieve_histogram(s, [*leading[: s.k - 1], last],
+                                                   degree=degree % (s.k + 1)))
         return results
 
     warm = run(cold=False)
     assert warm == run(cold=True)
-    for (moduli, _, _, _, _), hist in zip(calls, warm):
-        s = validate_modulus_system(moduli, coprime_mode=True)
-        assert hist == exact_coverage_histogram(s)[: len(hist)]
+    expected = [exact_coverage_histogram(validate_modulus_system(moduli, coprime_mode=True))
+                for moduli, _, lasts, _, _ in runs for _ in lasts]
+    assert [e[: len(hist)] for e, hist in zip(expected, warm)] == warm
 
 
 def smallest_within(moduli, limit=10**5):
