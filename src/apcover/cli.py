@@ -13,10 +13,15 @@ the measurement).
 
 Each ``_run_<command>`` returns ``(inputs, results, rows, exit_code)``: its
 own inputs and results as JSON values with integers already in decimal,
-and ``rows``, its CSV table, header first. ``main`` alone writes output:
-JSON adds ``command``, the moduli inputs and ``timing_ms``; CSV joins each
-row with commas; ``oeis --bfile`` (whatever ``--format``) joins the rows
-after the header with spaces.
+and ``rows``, its CSV table, header first. A list in the results, the rows
+and a row may be lazy iterables, so that ``oeis`` and ``count`` make the
+decimal of each term or coefficient only as it is written. ``main`` alone
+writes output, piece by piece as it is made: JSON adds ``command``, the
+moduli inputs and ``timing_ms``, which is read when it is reached and so
+includes the writing before it; CSV joins each row with commas; ``oeis
+--bfile`` (whatever ``--format``) joins the rows after the header with
+spaces. A failed write exits 4 like any internal error, after whatever was
+already written.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 4 internal error;
 a refusal, argparse's included, prints one ``error:`` line and exits with
@@ -28,10 +33,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from typing import Any, NoReturn
 
 from .core import CoverageCounts, ModulusSystem, validate_modulus_system
@@ -59,9 +67,14 @@ EXIT_INTERNAL = 4
 # bench folds every prefix once per --repeat, O(kmax^2) big-integer steps: at kmax
 # 1000, Bareiss aside, it took 1.6 s at --repeat 1 and 3.0 s at 3 on a 2-CPU host
 MAX_BENCH_KMAX = 1000
+# characters per write. A batch holds at most this much on top of its last piece,
+# and each write is a system call when stdout is unbuffered (PYTHONUNBUFFERED):
+# against 64 Ki, the 1200-term oeis argvs peaked 0.1-0.2 MiB lower for ~140
+# writes in place of ~36
+WRITE_BATCH = 1 << 14
 
-# what every _run_* returns; see the module docstring
-Output = tuple[dict[str, Any], dict[str, Any], list[list[str]], int]
+# what every _run_* returns; see the module docstring (results and rows may be lazy)
+Output = tuple[dict[str, Any], dict[str, Any], Iterable[Iterable[str]], int]
 
 
 def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
@@ -178,9 +191,11 @@ def _table(records: list[dict[str, Any]]) -> list[list[str]]:
 
 def _run_count(args: argparse.Namespace, system: ModulusSystem) -> Output:
     counts = _str_counts(coverage_counts(system))
-    histogram = [str(c) for c in exact_coverage_histogram(system)]
-    rows = _table([{**counts, **{f"j{j}": c for j, c in enumerate(histogram)}}])
-    return {}, {**counts, "histogram": histogram}, rows, EXIT_OK
+    coefficients = exact_coverage_histogram(system)
+    # the decimal of each coefficient is made as it is written
+    header = [*counts, *(f"j{j}" for j in range(len(coefficients)))]
+    rows = [header, itertools.chain(counts.values(), map(str, coefficients))]
+    return {}, {**counts, "histogram": map(str, coefficients)}, rows, EXIT_OK
 
 
 def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
@@ -246,9 +261,12 @@ def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
         for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
             context.traps[signal] = True
         values = sequence(args.terms, one=decimal.Decimal(1))
-    terms = [[str(i), str(v)] for i, v in enumerate(values, start=1)]
+
+    def terms() -> Iterator[list[str]]:  # the decimal of each term is made as it is written
+        return ([str(i), str(v)] for i, v in enumerate(values, start=1))
+
     inputs = {"sequence": args.sequence, "terms": str(args.terms)}
-    return inputs, {"terms": terms}, [["index", "value"], *terms], EXIT_OK
+    return inputs, {"terms": terms()}, itertools.chain([["index", "value"]], terms()), EXIT_OK
 
 
 def _time_best(fn, repeat: int, stop_ms: float = math.inf) -> tuple[float, Any]:
@@ -309,6 +327,70 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
     return inputs, {"rows": records}, _table(records), EXIT_OK
 
 
+def _json_pieces(value: Any, indent: str = "\n") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in pieces, for a value nested at ``indent``
+    (a newline and the spaces before its closing bracket).
+
+    A list may be any iterator, read as it is written, and a callable is called
+    when it is reached. Only keys and scalars go through ``json.dumps``: whether
+    json's C or its Python encoder renders ``indent`` differs between releases.
+    """
+    if callable(value):
+        value = value()
+    if isinstance(value, dict):
+        brackets, members = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple, Iterator)):
+        brackets, members = "[]", (("", item) for item in value)
+    else:
+        yield json.dumps(value)
+        return
+    inner = indent + "  "
+    empty = True
+    for key, item in members:
+        yield (brackets[0] if empty else ",") + inner + key
+        empty = False
+        yield from _json_pieces(item, inner)
+    yield brackets if empty else indent + brackets[1]
+
+
+def _line_pieces(rows: Iterable[Iterable[str]], separator: str) -> Iterator[str]:
+    """Each row's cells joined by ``separator`` and ended by a newline, a cell a piece."""
+    for row in rows:
+        cells = iter(row)
+        yield next(cells, "")
+        for cell in cells:
+            yield separator + cell
+        yield "\n"
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout in batches of about ``WRITE_BATCH`` characters, and flush.
+
+    After a failed write, stdout's file descriptor is pointed at os.devnull (as
+    the note on SIGPIPE in Python's ``signal`` docs advises), so the
+    interpreter's own flush at exit has somewhere to put what is left in the
+    buffer and cannot fail, and print, a second time.
+    """
+    batch: list[str] = []
+    size = 0
+    try:
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= WRITE_BATCH:
+                sys.stdout.write("".join(batch))
+                batch, size = [], 0
+        sys.stdout.write("".join(batch))
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # a stdout without a file descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 @contextlib.contextmanager
 def _exact_decimals():
     """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300.
@@ -335,27 +417,28 @@ def main(argv: list[str] | None = None) -> int:
         system = _system_from_args(args) if "primes" in args else None
         with _exact_decimals():
             inputs, results, rows, exit_code = args.run(args, system)
+            if getattr(args, "bfile", False):
+                pieces = _line_pieces(itertools.islice(rows, 1, None), " ")
+            elif args.format == "csv":
+                pieces = _line_pieces(rows, ",")
+            else:
+                if system is not None:
+                    moduli = [str(m) for m in system.moduli]
+                    inputs = {"moduli": moduli, "coprime": args.coprime, **inputs}
+                record = {
+                    "command": args.command,
+                    "inputs": inputs,
+                    "results": results,
+                    "timing_ms": (
+                        lambda: f"{(time.perf_counter() - started) * 1000.0:.3f}"
+                    ) if args.timing else None,
+                }
+                pieces = itertools.chain(_json_pieces(record), ["\n"])
+            _write(pieces)
     except ApcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except Exception as exc:  # a defect here; exit 1 stays reserved for a mismatch
+    except Exception as exc:  # a defect or a failed write; exit 1 stays reserved for a mismatch
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    if getattr(args, "bfile", False):
-        sys.stdout.write("".join(" ".join(row) + "\n" for row in rows[1:]))
-    elif args.format == "csv":
-        sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
-    else:
-        if system is not None:
-            moduli = [str(m) for m in system.moduli]
-            inputs = {"moduli": moduli, "coprime": args.coprime, **inputs}
-        record = {
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-            "timing_ms": f"{elapsed_ms:.3f}" if args.timing else None,
-        }
-        sys.stdout.write(json.dumps(record, indent=2) + "\n")
     return exit_code

@@ -1,9 +1,13 @@
+import errno
 import functools
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,9 +15,15 @@ import pytest
 import apcover.cli as cli
 import apcover.determinant
 from apcover.core import CoverageCounts, is_prime, validate_modulus_system
-from apcover.counting import first_primes, oeis_a005867, oeis_a067549
-from apcover.determinant import available_det
-from apcover.oracle import IndependenceReport
+from apcover.counting import (
+    coverage_counts,
+    exact_coverage_histogram,
+    first_primes,
+    oeis_a005867,
+    oeis_a067549,
+)
+from apcover.determinant import available_det, free_det
+from apcover.oracle import DEFAULT_PRODUCT_LIMIT, IndependenceReport
 
 
 def run(capsys, *argv):
@@ -319,6 +329,53 @@ def test_internal_error_exits_4_in_one_line(capsys, monkeypatch):
     assert err == "error: internal: KeyError: 'histogram'\n"
 
 
+class FailingStdout(io.StringIO):
+    """A stdout that keeps its first write and raises ``error`` on every later one."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        if self.tell():
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+    ids=["disk-full", "reader-gone"],
+)
+def test_failed_write_exits_4_in_one_line(capsys, monkeypatch, error):
+    stdout = FailingStdout(error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = cli.main(["oeis", "--sequence", "A067549", "--terms", "3000", "--bfile"])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: internal: {type(error).__name__}: {error}\n"
+    # what was written before the failure stays written
+    assert stdout.getvalue().startswith("1 2\n2 5\n3 22\n4 140\n")
+
+
+def test_closed_pipe_exits_4_in_one_line():
+    # block-buffered stdout still holds output when the write fails; the
+    # interpreter's flush at exit must not fail and print a second time
+    env = env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "apcover", "count", "--primes", "2,3,5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (
+        4, "error: internal: BrokenPipeError: [Errno 32] Broken pipe\n"
+    )
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["count", "--help"])
@@ -578,6 +635,140 @@ def test_oeis_prints_the_int_fold_byte_for_byte(capsys, sequence, terms):
         assert got == (0, stdout, ""), flags
 
 
+def test_oeis_bfile_memory_stays_near_its_terms(monkeypatch):
+    # 16.6 MB of b-file; the 3000 Decimal terms alone take about 7 MiB of it in memory
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["oeis", "--sequence", "A067549", "--terms", "3000", "--bfile"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20
+
+
+def assert_streams_its_values(capsys, argv, code, inputs, results, rows):
+    """stdout of ``argv`` in JSON (also under --timing, its value masked) and CSV
+    equals json.dumps and str.join of the values it was made from."""
+    command = argv[0]
+    if "--primes" in argv or "--first-k" in argv:
+        system = system_of(argv)
+        coprime = {"coprime": "--coprime" in argv}
+        inputs = {"moduli": [str(m) for m in system.moduli], **coprime, **inputs}
+    record = {"command": command, "inputs": inputs, "results": results, "timing_ms": None}
+    json_out = json.dumps(record, indent=2) + "\n"
+    assert run(capsys, *argv) == (code, json_out, "")
+    assert run(capsys, *argv, "--format", "csv") == (
+        code, "".join(",".join(row) + "\n" for row in rows), ""
+    )
+    got, out, err = run(capsys, *argv, "--timing")
+    masked = re.sub(r'\n  "timing_ms": "\d+\.\d{3}"\n}\n$', '\n  "timing_ms": null\n}\n', out)
+    assert (got, masked, err) == (code, json_out, "")
+
+
+def system_of(argv):
+    if "--first-k" in argv:
+        moduli = first_primes(int(argv[argv.index("--first-k") + 1]))
+    else:
+        moduli = [int(m) for m in argv[argv.index("--primes") + 1].split(",")]
+    return validate_modulus_system(moduli, coprime_mode="--coprime" in argv)
+
+
+def str_counts(counts):
+    return {name: str(value) for name, value in counts._asdict().items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--primes", "2,3,5"), ("--primes", "4,9", "--coprime"), ("--first-k", "40")],
+    ids=["primes", "coprime", "first-k"],
+)
+def test_count_streams_its_values_byte_for_byte(capsys, argv):
+    system = system_of(argv)
+    counts = str_counts(coverage_counts(system))
+    histogram = [str(c) for c in exact_coverage_histogram(system)]
+    rows = [
+        [*counts, *(f"j{j}" for j in range(len(histogram)))],
+        [*counts.values(), *histogram],
+    ]
+    results = {**counts, "histogram": histogram}
+    assert_streams_its_values(capsys, ("count", *argv), 0, {}, results, rows)
+
+
+@pytest.mark.parametrize("which", ["available", "free"])
+@pytest.mark.parametrize(
+    "argv",
+    [("--first-k", "6", "--method", "bareiss"), ("--primes", "5,2,3", "--method", "laplace"),
+     ("--first-k", "300",)],
+    ids=["bareiss", "laplace", "recurrence"],
+)
+def test_det_streams_its_values_byte_for_byte(capsys, argv, which):
+    system = system_of(argv)
+    method = argv[argv.index("--method") + 1] if "--method" in argv else "recurrence"
+    value = str(available_det(system) if which == "available" else free_det(system))
+    inputs = {"which": which, "method": method}
+    rows = [["which", "method", "value"], [which, method, value]]
+    assert_streams_its_values(
+        capsys, ("det", *argv, "--which", which), 0, inputs, {"value": value}, rows
+    )
+
+
+VERIFY_HEADER = ["mode", "assignments_tested", "all_match", "available", "free", "occupied", "product"]
+
+
+def test_verify_streams_its_values_byte_for_byte(capsys):
+    argv = ("verify", "--primes", "2,3,5", "--exhaustive")
+    counts = str_counts(coverage_counts(system_of(argv)))
+    inputs = {"trials": "20", "seed": "0", "exhaustive": True, "limit": str(DEFAULT_PRODUCT_LIMIT)}
+    results = {
+        "mode": "exhaustive", "assignments_tested": "30", "all_match": True,
+        "expected": counts, "mismatches": [],
+    }
+    rows = [VERIFY_HEADER, ["exhaustive", "30", "true", *counts.values()]]
+    assert_streams_its_values(capsys, argv, 0, inputs, results, rows)
+
+
+def test_verify_mismatches_stream_byte_for_byte(capsys, monkeypatch):
+    expected = CoverageCounts(available=5, free=2, occupied=1, product=6)
+    mismatches = (
+        ((0, 0), CoverageCounts(available=6, free=3, occupied=0, product=6)),
+        ((1, 2), CoverageCounts(available=4, free=1, occupied=2, product=6)),
+    )
+    fake = IndependenceReport(
+        assignments_tested=7, all_match=False, expected=expected, mismatches=mismatches
+    )
+    monkeypatch.setattr(cli, "residue_independence_check", lambda *a, **kw: fake)
+    argv = ("verify", "--primes", "2,3", "--trials", "7", "--seed", "3")
+    inputs = {"trials": "7", "seed": "3", "exhaustive": False, "limit": str(DEFAULT_PRODUCT_LIMIT)}
+    results = {
+        "mode": "random", "assignments_tested": "7", "all_match": False,
+        "expected": str_counts(expected),
+        "mismatches": [
+            {"residues": [str(r) for r in residues], "observed": str_counts(observed)}
+            for residues, observed in mismatches
+        ],
+    }
+    rows = [VERIFY_HEADER, ["random", "7", "false", "5", "2", "1", "6"]]
+    assert_streams_its_values(capsys, argv, 1, inputs, results, rows)
+
+
+def test_bench_streams_its_values_byte_for_byte(capsys, monkeypatch):
+    # every run takes 1 ms, so Bareiss is over the 0.5 ms timeout at k = 1 and skipped after
+    monkeypatch.setattr(cli, "_time_best", lambda fn, repeat, stop_ms=math.inf: (1.0, fn()))
+    argv = ("bench", "--kmax", "4", "--repeat", "2", "--timeout-ms", "0.5")
+    records = [{"k": "1", "recurrence_ms": "1.000", "bareiss_ms": "1.000", "agree": True}] + [
+        {"k": str(k), "recurrence_ms": "1.000", "bareiss_ms": "skipped (timeout)", "agree": None}
+        for k in range(2, 5)
+    ]
+    rows = [["k", "recurrence_ms", "bareiss_ms", "agree"], ["1", "1.000", "1.000", "true"]] + [
+        [str(k), "1.000", "skipped (timeout)", ""] for k in range(2, 5)
+    ]
+    inputs = {"kmax": "4", "repeat": "2", "timeout_ms": "0.500"}
+    assert_streams_its_values(capsys, argv, 0, inputs, {"rows": records}, rows)
+
+
 @pytest.mark.parametrize("sequence", ["A067549", "A005867"])
 def test_oeis_rounding_exits_4_and_prints_nothing(capsys, monkeypatch, sequence):
     import decimal as decimal_module
@@ -606,6 +797,15 @@ def test_long_modulus_token_is_refused_in_one_line(capsys):
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def env_with_src():
+    """This process's environment with ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.mark.parametrize(
@@ -649,10 +849,7 @@ def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded)
 
 def modules_loaded_after(code, names):
     """Which of ``names`` a fresh interpreter has imported after running ``code``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = env_with_src()
     probe = f"import sys; print(*[name for name in {names!r} if name in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", f"{code}; {probe}"],
