@@ -17,35 +17,15 @@ sieved: the truncation skips binning passes, never part of the window. Chunks
 are independent and merge by integer addition, so any partition of the window,
 and any degree of parallelism, produces identical results.
 
-A window that fits in one chunk and that an exhaustive check admits (product
-at most 10^5 under ``SIEVE_BUDGET``) starts from the counters of every modulus
-but the system's last, kept in a one-entry cache keyed by the window and those
-moduli and residues. An exhaustive check steps only the last residue up by 1
-between consecutive assignments, except when the others change and it wraps
-to 0, so it fills the other k - 1 moduli once per run of p_k assignments, p_k
-being the last modulus listed. The first call of a run copies the cached
-counters, adds the last modulus by one strided add and bins the copy as above.
-When p_k pays for a table (below), a call that steps the last residue of the
-previous such call up by 1 (mod p_k), with the same window, other moduli and
-residues and degree, reads its histogram from a table of that run instead: a
-tuple of p_k histograms, built by the second call of the run and kept in a
-one-entry cache. Entry s is the histogram when the last modulus adds 1 to the
-counters at s, s + p_k, ... (s = (r - 1) mod p_k). The builder bins each such
-class of the cached counters, c_j(s) being how many of them the other moduli
-cover j times, and sets entry j of histogram s to T_j - c_j(s) + c_(j-1)(s)
-(T_0 - c_0(s) for j = 0), T_j = sum over s of c_j(s): every count is still
-read off this window's counters, and nothing assumes the identities under
-test. A table pays when it would serve at least ``TABLE_MIN_CALLS`` calls, the
-p_k - 1 after the first of a run, because a build costs what 2-4 table reads
-save: ``--primes 2,3,5,7,11`` reads a table on 10 calls in 11, while
-``--primes 11,7,5,3,2`` and ``--primes 2,5,7,3`` copy on every call. A random
-check repeats the other residues and steps the last up by 1 about once in
-``product`` calls, so it almost never builds or reads a table. Concurrent
-callers stay safe: the cached counters are read-only, each copy belongs to its
-call, and a table is an immutable tuple; a race on which call came last only
-decides between a table and a copy, which give the same histogram. Other
-windows never touch either cache, so together they hold at most 10^5 bytes
-and p_k small tuples.
+An exhaustive check enumerates the assignments in ``itertools.product``
+order, so they come in blocks of p_k (the last modulus listed) that share
+every other residue. Per block it fills the counters of the other k - 1
+moduli once, takes each class s mod p_k of them (the integers the last modulus
+covers at residue r, s = (r - 1) mod p_k) and counts how many the other moduli
+cover 0 and 1 times, c_0(s) and c_1(s). The assignment with residue r then has
+T_0 - c_0(s) free integers and T_1 - c_1(s) + c_0(s) covered once, T_j being
+the sum over s of c_j(s): every count is still read off this block's
+counters, and nothing assumes the identities under test.
 
 numpy is imported on the first sieve call, before any worker starts, so the
 exact layers never load it; ``concurrent.futures`` only when a call runs more
@@ -58,7 +38,6 @@ two keywords: ``product_limit``, the largest window they sieve, and
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -74,18 +53,11 @@ CHUNK_SIZE = 1 << 20
 WHEEL_PERIOD_LIMIT = 2310
 DEFAULT_PRODUCT_LIMIT = 10**9
 SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
-# A sieve call costs at least what sieving this many integers does: on a 2-CPU
-# host a call at product 6 took 11-17 us whether it copied the cached counters
-# (an exhaustive check) or refilled them (a random one), and one that read a
-# table 4-7 us at products 2310-85085, as long as 9500-37500 integers of a
-# large window at 0.95-1.5 G/s (2 threads), so each call is charged at least this much.
+# Each assignment a check tests costs at least what sieving this many integers
+# does: on a 2-CPU host a random check's sieve call at product 6 took 11-17 us,
+# as long as 9500-37500 integers of a large window at 0.95-1.5 G/s (2 threads),
+# so each assignment is charged at least this much.
 SIEVE_CALL_INTEGERS = 16384
-# A run's table (see sieve_histogram) is built only when it would serve at
-# least this many calls, the p_k - 1 after the run's first: on a 2-CPU host a
-# build took 22-35 us at product 2310, 58-73 us at 30030 and 131-138 us at
-# 85085, what 2.0-3.7 calls save by reading a table (4-7 us) rather than
-# copying, adding and binning (12-57 us).
-TABLE_MIN_CALLS = 4
 
 
 class IndependenceReport(NamedTuple):
@@ -138,52 +110,12 @@ def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
     return buf
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_fill(hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
-    """The counters of [1, hi) for ``moduli``, kept for the next call and so
-    made read-only: every caller adds to its own copy."""
-    buf = _fill(1, hi, moduli, residues)
-    buf.flags.writeable = False
-    return buf
-
-
 def _bin(buf, degree: int) -> list[int]:
     """Entries 0..degree of the histogram of the counters ``buf``."""
     import numpy as np
 
     covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
     return [len(buf) - int(np.count_nonzero(buf)), *covered]
-
-
-_last_call = None  # (window, moduli and residues but the last, degree, last residue)
-
-
-def _continues_run(head: tuple, degree: int, r: int, p: int) -> bool:
-    """Whether the previous call recorded here had the same ``head`` (window,
-    moduli and residues but the last) and degree, and last residue r - 1
-    (mod p); records this call."""
-    global _last_call
-    previous, _last_call = _last_call, (*head, degree, r)
-    return previous == (*head, degree, (r - 1) % p)
-
-
-@functools.lru_cache(maxsize=1)
-def _residue_table(hi: int, moduli: tuple[int, ...], residues: tuple[int, ...],
-                   p: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Entry s: entries 0..degree of the histogram of [1, hi) when a last
-    modulus ``p`` adds 1 to the counters at s, s + p, ... (the residue r with
-    s = (r - 1) mod p) of the shared counters of ``moduli``."""
-    import numpy as np
-
-    # row s: the counters at s, s + p, ... (p divides the window's length)
-    rows = _shared_fill(hi, moduli, residues).reshape(-1, p).T.copy()
-    # c[j][s]: the counters of row s that the other moduli cover j times
-    c = [np.add.reduce(rows == j, axis=1, dtype=np.int32).tolist() for j in range(degree + 1)]
-    total = [sum(cj) for cj in c]
-    # the counters of row s move up one multiplicity: out of entry j, into j + 1
-    return tuple((total[0] - c[0][s],
-                  *(total[j] - c[j][s] + c[j - 1][s] for j in range(1, degree + 1)))
-                 for s in range(p))
 
 
 def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
@@ -208,18 +140,6 @@ def sieve_histogram(
     degree = system.k if degree is None else degree
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
-    if (system.product <= CHUNK_SIZE
-            and system.product * max(system.product, SIEVE_CALL_INTEGERS) <= SIEVE_BUDGET):
-        # one chunk of a window that an exhaustive check admits (only it reuses
-        # counters): a run's table, or a copy of the shared counters of all
-        # moduli but the last plus the last
-        head = (system.product + 1, system.moduli[:-1], residues[:-1])
-        p, r = system.moduli[-1], residues[-1]
-        if p - 1 >= TABLE_MIN_CALLS and _continues_run(head, degree, r, p):
-            return _residue_table(*head, p, degree)[(r - 1) % p]
-        buf = _shared_fill(*head).copy()
-        buf[(r - 1) % p :: p] += 1
-        return tuple(_bin(buf, degree))
     bounds = list(range(1, system.product + 1, CHUNK_SIZE)) + [system.product + 1]
     chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(system.moduli),
                   itertools.repeat(residues), itertools.repeat(degree))
@@ -257,8 +177,11 @@ def oracle_counts(
     Only the integers covered at most once are binned; every other integer
     of the window, all of which are sieved, is occupied.
     """
-    free, once = sieve_histogram(system, residues, product_limit=product_limit,
-                                 threads=threads, degree=1)
+    return _counts(system, *sieve_histogram(system, residues, product_limit=product_limit,
+                                            threads=threads, degree=1))
+
+
+def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
     return CoverageCounts(
         available=free + once,
         free=free,
@@ -275,6 +198,25 @@ def _random_assignments(
         yield tuple(rng.randrange(p) for p in system.moduli)
 
 
+def _exhaustive_histograms(
+    system: ModulusSystem,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
+    """(residues, (free, once)) for every assignment, in ``itertools.product``
+    order: one fill of the other moduli per block of p_k assignments."""
+    import numpy as np
+
+    *moduli, p = system.moduli
+    for head in itertools.product(*map(range, moduli)):
+        # row s: the counters of s + 1, s + 1 + p, ... (p divides the window)
+        rows = _fill(1, system.product + 1, moduli, head).reshape(-1, p).T.copy()
+        # c_j[s]: the counters of row s that the other moduli cover j times
+        c0, c1 = (np.add.reduce(rows == j, axis=1, dtype=np.int32).tolist() for j in (0, 1))
+        total0, total1 = sum(c0), sum(c1)
+        for r in range(p):
+            s = (r - 1) % p  # the last modulus adds 1 to row s: its 0s become 1s, its 1s 2s
+            yield (*head, r), (total0 - c0[s], total1 - c1[s] + c0[s])
+
+
 def residue_independence_check(
     system: ModulusSystem,
     trials: int = 20,
@@ -289,21 +231,23 @@ def residue_independence_check(
     Random mode draws ``trials`` assignments from a generator seeded with
     ``seed`` (each residue uniform in [0, p)), so reports are reproducible.
     Exhaustive mode enumerates all ``product`` assignments. Each assignment
-    sieves ``product`` integers and is charged at least ``SIEVE_CALL_INTEGERS``
-    for the call itself, so a check is refused, before any sieving, when its
-    window exceeds the product limit or when assignments x max(product,
-    ``SIEVE_CALL_INTEGERS``) exceeds ``SIEVE_BUDGET``.
+    is charged ``product`` integers, and at least ``SIEVE_CALL_INTEGERS``, so
+    a check is refused, before any sieving, when its window exceeds the
+    product limit or when assignments x max(product, ``SIEVE_CALL_INTEGERS``)
+    exceeds ``SIEVE_BUDGET``.
     """
     _check_options(product_limit, threads)
     expected = coverage_counts(system)
     if exhaustive:
         mode, assignments = "exhaustive", system.product
-        candidates = itertools.product(*(range(p) for p in system.moduli))
+        observed = _exhaustive_histograms(system)
     else:
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials
-        candidates = _random_assignments(system, trials, seed)
+        observed = ((residues, sieve_histogram(system, residues, product_limit=product_limit,
+                                               threads=threads, degree=1))
+                    for residues in _random_assignments(system, trials, seed))
     _check_product(system, product_limit)
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)
     if sieved > SIEVE_BUDGET:
@@ -311,14 +255,14 @@ def residue_independence_check(
             f"{sieved} integers to sieve exceed the {mode} budget {SIEVE_BUDGET}"
         )
 
+    # a CoverageCounts only for the mismatches kept
+    want = (expected.free, expected.available - expected.free)
     tested = 0
     mismatches: list[tuple[tuple[int, ...], CoverageCounts]] = []
-    for residues in candidates:
-        observed = oracle_counts(system, residues, product_limit=product_limit,
-                                 threads=threads)
+    for residues, hist in observed:
         tested += 1
-        if observed != expected and len(mismatches) < 5:
-            mismatches.append((residues, observed))
+        if hist != want and len(mismatches) < 5:
+            mismatches.append((residues, _counts(system, *hist)))
     return IndependenceReport(
         assignments_tested=tested,
         all_match=not mismatches,

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import inspect
 import itertools
+import math
 import random
 import sys
 
@@ -329,60 +330,38 @@ def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypat
                                           occupied=s.product - free - once, product=s.product)
 
 
-def test_cached_counters_are_read_only_and_unchanged():
-    s = system([2, 3, 5, 7, 11])
-    window = s.product + 1
-    first = assign_residues(s, [1, 2, 3, 4, 5])
-    oracle._shared_fill.cache_clear()
-    assert list(sieve_histogram(s, first)) == brute_histogram(s, first, 1, window)
-    cached = oracle._shared_fill(window, s.moduli[:-1], first[:-1])
-    assert oracle._shared_fill.cache_info().hits == 1  # the sieve's own entry
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0] += 1
-    assert (cached == oracle._fill(1, window, s.moduli[:-1], first[:-1])).all()
-    # the next call reuses the entry, and its last modulus lands on a copy
-    other_last = first[:-1] + (9,)
-    assert list(sieve_histogram(s, other_last)) == brute_histogram(s, other_last, 1, window)
-    assert oracle._shared_fill.cache_info().hits == 2
-    assert (cached == oracle._fill(1, window, s.moduli[:-1], first[:-1])).all()
+def assert_blocks_equal_cold_sieves(s):
+    """Every (residues, (free, once)) of the exhaustive blocks, in enumeration
+    order, equals a fresh sieve of that assignment; returns the histograms."""
+    cold = [(residues, tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1)))
+            for residues in itertools.product(*(range(p) for p in s.moduli))]
+    assert list(oracle._exhaustive_histograms(s)) == cold
+    return {hist for _, hist in cold}
 
 
-def test_multi_chunk_window_leaves_the_cache_alone(monkeypatch):
-    s = system([2, 3, 5, 7])
-    assert sieve_histogram(s, [1, 2, 3, 4]) == (48, 92, 56, 13, 1)  # one chunk: cached
-    before = oracle._shared_fill.cache_info()
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 100)
-    for residues in ([1, 2, 3, 4], [1, 2, 3, 5], [0, 0, 0, 0]):
-        assert sieve_histogram(s, residues) == (48, 92, 56, 13, 1)
-    assert oracle._shared_fill.cache_info() == before
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (3, 5, 7, 2), (2, 5, 7, 3), (2, 3, 5, 13),
+                                    (4, 9, 5), (2,), (3,), (7,)])
+def test_block_histograms_equal_cold_ones(moduli):
+    # last moduli 7, 2, 3 and 13, coprime composites, and k = 1 (an empty head)
+    s = system(moduli, coprime=True)
+    assert assert_blocks_equal_cold_sieves(s) == {exact_coverage_histogram(s)[:2]}
 
 
-def test_one_chunk_window_beyond_exhaustive_reach_leaves_the_cache_alone():
-    # 510510 fits one chunk, but 510510^2 integers exceed SIEVE_BUDGET, so no
-    # exhaustive check reuses it: a random one would only refill the cache
-    s = system([2, 3, 5, 7, 11, 13, 17])
-    assert s.product <= oracle.CHUNK_SIZE
-    assert s.product * s.product > oracle.SIEVE_BUDGET
-    sieve_histogram(system([2, 3, 5, 7]), [1, 2, 3, 4])
-    before = oracle._shared_fill.cache_info()
-    for residues in ([1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 8]):
-        assert sieve_histogram(s, residues, degree=1) == exact_coverage_histogram(s)[:2]
-    assert oracle._shared_fill.cache_info() == before
+@pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2)])
+def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
+    # moduli that share a factor, so the histogram of the window depends on the
+    # residues: a block that assumed the identity under test, or read another
+    # residue's class, would differ from a cold sieve here (the system skips
+    # validation on purpose)
+    s = ModulusSystem(moduli=moduli, product=math.prod(moduli))
+    assert len(assert_blocks_equal_cold_sieves(s)) > 1
 
 
-def clear_sieve_caches():
-    oracle._shared_fill.cache_clear()
-    oracle._residue_table.cache_clear()
-    oracle._last_call = None
-
-
-def test_concurrent_callers_share_the_cached_counters_safely():
+def test_concurrent_callers_get_the_histogram_of_their_own_call():
     s = system([2, 3, 5, 7, 11])
     expected = exact_coverage_histogram(s)
     # 6 leading prefixes, each followed by its 11 last residues, three times over
     assignments = [(a, b, 0, 0, last) for a in range(2) for b in range(3) for last in range(11)] * 3
-    clear_sieve_caches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -390,91 +369,21 @@ def test_concurrent_callers_share_the_cached_counters_safely():
             results = list(pool.map(lambda a: sieve_histogram(s, a), assignments, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    # a caller that wrote to the shared counters would skew every later reader
+    # a caller that wrote to counters another one reads would skew that reader
     assert results == [expected] * len(assignments)
-    # and the runs of 11 built tables while other callers copied or read them
-    tables = oracle._residue_table.cache_info()
-    assert tables.misses >= 1 and tables.hits >= 1
 
 
-@pytest.mark.parametrize("moduli, table_min_calls", [
-    ((3, 5, 7, 2), 1),
-    ((2, 5, 7, 3), 1),
-    ((2, 3, 5, 13), oracle.TABLE_MIN_CALLS),
-    ((4, 9, 5), oracle.TABLE_MIN_CALLS),
-])
-def test_table_served_histograms_equal_cold_ones(monkeypatch, moduli, table_min_calls):
-    s = system(moduli, coprime=True)
-    p = s.moduli[-1]
-    assert p - 1 >= table_min_calls
-    monkeypatch.setattr(oracle, "TABLE_MIN_CALLS", table_min_calls)
-    clear_sieve_caches()
-    for degree in range(s.k + 1):
-        for head in itertools.product(*(range(q) for q in s.moduli[:-1])):
-            # each run starts mid-way and wraps past p - 1 to 0
-            for last in [(p // 2 + i) % p for i in range(p)]:
-                residues = (*head, last)
-                assert list(sieve_histogram(s, residues, degree=degree)) == \
-                    oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, degree)
-    runs = s.product // p * (s.k + 1)
-    # one table per run, built by its second call and read by every later one
-    assert oracle._residue_table.cache_info()[:2] == ((p - 2) * runs, runs)
+def test_random_check_sieves_each_trial_once_at_degree_1(monkeypatch):
+    calls = []
+    real = oracle.sieve_histogram
 
+    def spy(*args, **kwargs):
+        arguments = inspect.signature(real).bind(*args, **kwargs).arguments
+        calls.append((tuple(arguments["residues"]), arguments.get("degree")))
+        return real(*args, **kwargs)
 
-def test_a_table_follows_the_residues_where_the_histogram_depends_on_them():
-    # 2 divides 8, so the histogram of [1, 48] depends on the residues: a table
-    # that assumed the identity under test, or read another residue's entry,
-    # would differ from a cold sieve here (the system skips validation on purpose)
-    s = ModulusSystem(moduli=(3, 2, 8), product=48)
-    clear_sieve_caches()
-    histograms = set()
-    for degree in range(s.k + 1):
-        for head in itertools.product(range(3), range(2)):
-            for last in [(5 + i) % 8 for i in range(8)]:
-                residues = (*head, last)
-                hist = sieve_histogram(s, residues, degree=degree)
-                assert list(hist) == oracle._chunk_histogram(1, 49, s.moduli, residues, degree)
-                histograms.add(hist)
-    assert len(histograms) > s.k + 1  # more than one histogram at some degree
-    assert oracle._residue_table.cache_info().hits > 0
-
-
-def test_short_runs_take_the_copy_path():
-    s = system([3, 5, 7, 2])  # runs of 2 calls: a table would serve one
-    assert s.moduli[-1] - 1 < oracle.TABLE_MIN_CALLS
-    clear_sieve_caches()
-    assert residue_independence_check(s, exhaustive=True).all_match
-    assert oracle._residue_table.cache_info().misses == 0
-
-
-def test_random_check_builds_no_table():
+    monkeypatch.setattr(oracle, "sieve_histogram", spy)
     s = system([2, 3, 5, 7, 11, 13])
     trials, seed = 200, 3
-    draws = list(oracle._random_assignments(s, trials, seed))
-    # no two consecutive draws share every residue but the last (a 1 in 2310 chance each)
-    assert all(a[:-1] != b[:-1] for a, b in zip(draws, draws[1:]))
-    clear_sieve_caches()
     assert residue_independence_check(s, trials=trials, seed=seed).all_match
-    assert oracle._residue_table.cache_info().currsize == 0
-    assert oracle._shared_fill.cache_info().misses == trials
-
-
-def test_a_table_is_kept_per_degree():
-    s = system([2, 3, 5, 7, 11])
-    clear_sieve_caches()
-    for last, degree in enumerate((1, 1, 1, 5, 5, 1)):
-        assert sieve_histogram(s, (1, 2, 3, 4, last), degree=degree) == \
-            exact_coverage_histogram(s)[: degree + 1]
-    # builds at the second call at degree 1, then at degree 5; the last call copies
-    assert oracle._residue_table.cache_info()[:2] == (1, 2)
-
-
-def test_only_a_step_up_of_the_last_residue_reads_a_table():
-    s = system([2, 3, 5, 7, 11])
-    clear_sieve_caches()
-    for last in (3, 3, 5, 4, 2, 0, 10):  # never one more than the previous, mod 11
-        assert sieve_histogram(s, (1, 2, 3, 4, last)) == exact_coverage_histogram(s)
-    assert oracle._residue_table.cache_info().currsize == 0
-    for last in (10, 0, 1):  # 10 -> 0 wraps
-        assert sieve_histogram(s, (1, 2, 3, 4, last)) == exact_coverage_histogram(s)
-    assert oracle._residue_table.cache_info()[:2] == (1, 1)
+    assert calls == [(residues, 1) for residues in oracle._random_assignments(s, trials, seed)]

@@ -186,11 +186,9 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, t
 
 
 # Runs of 3 to 6 calls that share every residue but the last and step the
-# last up by 1 (wrapping mod its modulus), which a table serves once the last
-# modulus pays for one (every run when the threshold is 1); residues from
-# {0, 1, 2} but the last, so consecutive runs often share them too; chunk
-# sizes of 97 and 1000 split most of these windows, which must then bypass
-# both caches.
+# last up by 1 (wrapping mod its modulus), in the order an exhaustive check
+# enumerates them; residues from {0, 1, 2} but the last, so consecutive runs
+# often share them too; chunk sizes of 97 and 1000 split most of these windows.
 sieve_runs = st.lists(st.tuples(
     st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
     st.lists(st.integers(0, 2), min_size=5, max_size=5),
@@ -201,39 +199,34 @@ sieve_runs = st.lists(st.tuples(
 ), min_size=1, max_size=4)
 
 
-def clear_sieve_caches():
-    oracle._shared_fill.cache_clear()
-    oracle._residue_table.cache_clear()
-    oracle._last_call = None
-
-
 @settings(PROPERTY, max_examples=30)
-@given(sieve_runs, st.sampled_from((1, oracle.TABLE_MIN_CALLS)))
+@given(sieve_runs)
 @example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2, 3], 1, 1 << 20),
           ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2], 1, 97),
           ((2, 3, 5, 7), [1, 2, 0, 1, 0], [3, 4, 5], 4, 1 << 20),
-          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [9, 10, 11, 12], 5, 1 << 20)], 1)
+          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [9, 10, 11, 12], 5, 1 << 20)])
 @example([((2, 3, 5, 7, 11, 13), [1, 2, 0, 1, 0], [11, 12, 13, 14, 0], 1, 1 << 20),
-          ((13, 11, 7, 5, 3, 2), [1, 2, 0, 1, 0], [0, 1, 2], 6, 1 << 20)], oracle.TABLE_MIN_CALLS)
-def test_cached_sieve_equals_a_cold_one(runs, table_min_calls):
-    def run(cold):
+          ((13, 11, 7, 5, 3, 2), [1, 2, 0, 1, 0], [0, 1, 2], 6, 1 << 20)])
+def test_sieve_ignores_earlier_calls(runs):
+    calls = []
+    for moduli, leading, lasts, degree, chunk_size in runs:
+        s = validate_modulus_system(moduli, coprime_mode=True)
+        residues = [assign_residues(s, [*leading[: s.k - 1], last]) for last in lasts]
+        calls += [(s, a, degree % (s.k + 1), chunk_size) for a in residues]
+
+    def run(calls):
         results = []
-        for moduli, leading, lasts, degree, chunk_size in runs:
-            s = validate_modulus_system(moduli, coprime_mode=True)
-            for last in lasts:
-                if cold:
-                    clear_sieve_caches()
-                with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
-                        mock.patch.object(oracle, "TABLE_MIN_CALLS", table_min_calls):
-                    results.append(sieve_histogram(s, [*leading[: s.k - 1], last],
-                                                   degree=degree % (s.k + 1)))
+        for s, residues, degree, chunk_size in calls:
+            with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+                results.append(sieve_histogram(s, residues, degree=degree))
         return results
 
-    warm = run(cold=False)
-    assert warm == run(cold=True)
-    expected = [exact_coverage_histogram(validate_modulus_system(moduli, coprime_mode=True))
-                for moduli, _, lasts, _, _ in runs for _ in lasts]
-    assert [e[: len(hist)] for e, hist in zip(expected, warm)] == warm
+    forward = run(calls)
+    assert forward == run(calls[::-1])[::-1]
+    # each equals a cold sieve of its whole window, and the fold's prefix
+    assert forward == [tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, a, degree))
+                       for s, a, degree, _ in calls]
+    assert forward == [exact_coverage_histogram(s)[: degree + 1] for s, _, degree, _ in calls]
 
 
 def smallest_within(moduli, limit=10**5):

@@ -49,10 +49,16 @@ def test_traced_run_records_the_layer(argv, layer):
     assert layer in names
 
 
-def test_traced_check_wraps_every_sieve_call():
-    # the check calls sieve_histogram through oracle's global, once per assignment
-    spans = traced_spans(("verify", "--primes", "2,3", "--exhaustive"))
+def test_traced_random_check_wraps_every_sieve_call():
+    # a random check calls sieve_histogram through oracle's global, once per trial
+    spans = traced_spans(("verify", "--primes", "2,3", "--trials", "6"))
     assert sum(span[2] == "oracle.sieve" for span in spans) == 6
+
+
+def test_traced_exhaustive_check_records_one_check_span():
+    # an exhaustive check bins its blocks inside the check, with no sieve call
+    spans = traced_spans(("verify", "--primes", "2,3", "--exhaustive"))
+    assert sum(span[2] == "oracle.check" for span in spans) == 1
 
 
 def traced_spans(argv):
