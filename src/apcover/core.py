@@ -25,19 +25,27 @@ MAX_MODULUS = 2**64 - 1
 
 # Deterministic Miller-Rabin witness sets. Bases 2, 3, 5, 7 decide every
 # n < 3215031751 = 151 * 751 * 28351, the least strong pseudoprime to all four
-# (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980); the first 12 primes
-# decide every n < 3.3e24, which covers the full 64-bit modulus range accepted above.
+# (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980); Sinclair's seven
+# bases decide every n < 2**64, the full modulus range accepted above, as
+# checked against the list of base-2 strong pseudoprimes below 2**64 (Feitsma
+# and Galway). Those bases are not prime, so larger n are first trial-divided
+# by the first 12 primes.
 _MR_SMALL_BOUND = 3215031751
 _MR_SMALL_WITNESSES = (2, 3, 5, 7)
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= 2**64 - 1."""
     if n < 2:
         return False
-    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
-    for p in witnesses:
+    if n < _MR_SMALL_BOUND:
+        divisors = witnesses = _MR_SMALL_WITNESSES
+    else:
+        # every base is below n, so a prime n is coprime to each of them
+        divisors, witnesses = _TRIAL_PRIMES, _MR_WITNESSES
+    for p in divisors:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -18,14 +18,16 @@ are independent and merge by integer addition, so any partition of the window,
 and any degree of parallelism, produces identical results.
 
 An exhaustive check enumerates the assignments in ``itertools.product``
-order, so they come in blocks of p_k (the last modulus listed) that share
-every other residue. Per block it fills the counters of the other k - 1
-moduli once, takes each class s mod p_k of them (the integers the last modulus
-covers at residue r, s = (r - 1) mod p_k) and counts how many the other moduli
-cover 0 and 1 times, c_0(s) and c_1(s). The assignment with residue r then has
-T_0 - c_0(s) free integers and T_1 - c_1(s) + c_0(s) covered once, T_j being
-the sum over s of c_j(s): every count is still read off this block's
-counters, and nothing assumes the identities under test.
+order, so they come in blocks of q = p_(k-1) * p_k (the last two moduli
+listed; the last one when k <= 2) that share every other residue. Per block it
+fills the counters of the head, the other moduli, once and reshapes them to q
+columns, column t holding the integers congruent to t + 1 mod q. Each column's
+count of integers the head covers 0 and 1 times goes into a grid cell indexed
+by their residues mod the tail moduli. Along each tail axis in turn, residue r
+then turns its class's 0s into 1s and its 1s into 2s: with T_j the sum of h_j
+over that axis, h_0 becomes T_0 - h_0 and h_1 becomes T_1 - h_1 + h_0. Every
+count is still read off this block's counters, at least one modulus is sieved
+whenever k >= 2, and nothing assumes the identities under test.
 
 numpy is imported on the first sieve call, before any worker starts, so the
 exact layers never load it; ``concurrent.futures`` only when a call runs more
@@ -39,6 +41,7 @@ two keywords: ``product_limit``, the largest window they sieve, and
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from typing import Iterable, Iterator, NamedTuple
@@ -198,23 +201,53 @@ def _random_assignments(
         yield tuple(rng.randrange(p) for p in system.moduli)
 
 
+def _column_sums(hits):
+    """Column sums of the bool matrix ``hits``, which is folded in place.
+
+    A sum over axis 0 makes one pass per row, each as short as a row, so while
+    there are more rows than columns the bottom half of the rows is first added
+    onto the top half. Each fold at most doubles an entry, so the first 7 add
+    bytes (entries stay within 2**7) and the rest int32.
+    """
+    import numpy as np
+
+    sums, folds = hits.view(np.uint8), 0
+    while len(sums) > sums.shape[1]:
+        if folds == 7:
+            sums = sums.astype(np.int32)
+        keep = len(sums) - len(sums) // 2  # an odd count's middle row stays as it is
+        sums[: len(sums) - keep] += sums[keep:]
+        sums, folds = sums[:keep], folds + 1
+    return sums.sum(axis=0, dtype=np.int32)
+
+
 def _exhaustive_histograms(
     system: ModulusSystem,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
     """(residues, (free, once)) for every assignment, in ``itertools.product``
-    order: one fill of the other moduli per block of p_k assignments."""
+    order: one fill of the head moduli per block of q = p_(k-1) * p_k assignments."""
     import numpy as np
 
-    *moduli, p = system.moduli
-    for head in itertools.product(*map(range, moduli)):
-        # row s: the counters of s + 1, s + 1 + p, ... (p divides the window)
-        rows = _fill(1, system.product + 1, moduli, head).reshape(-1, p).T.copy()
-        # c_j[s]: the counters of row s that the other moduli cover j times
-        c0, c1 = (np.add.reduce(rows == j, axis=1, dtype=np.int32).tolist() for j in (0, 1))
-        total0, total1 = sum(c0), sum(c1)
-        for r in range(p):
-            s = (r - 1) % p  # the last modulus adds 1 to row s: its 0s become 1s, its 1s 2s
-            yield (*head, r), (total0 - c0[s], total1 - c1[s] + c0[s])
+    split = -2 if system.k >= 3 else -1  # at least one modulus is sieved when k >= 2
+    head, tail = system.moduli[:split], system.moduli[split:]
+    q = math.prod(tail)
+    # column t holds the integers t + 1, t + 1 + q, ... (q divides the window); their
+    # cell is their residue mod each tail modulus, raveled in enumeration order
+    n = np.arange(1, q + 1)
+    cells = np.ravel_multi_index([n % p for p in tail], tail)
+    # the tail residues vary fastest, so each block's q assignments come next in this order
+    assignments = itertools.product(*map(range, system.moduli))
+    for residues in itertools.product(*map(range, head)):
+        columns = _fill(1, system.product + 1, head, residues).reshape(-1, q)
+        # h_j[cell]: the integers of the cell that the head covers j times; the
+        # float64 sums are exact, as SIEVE_BUDGET keeps an exhaustive window within 10**5
+        h0, h1 = (np.bincount(cells, weights=_column_sums(columns == j), minlength=q)
+                  .reshape(tail) for j in (0, 1))
+        for axis in range(len(tail)):
+            # residue r of this axis covers the integers of class r: its 0s become 1s, its 1s 2s
+            h0, h1 = h0.sum(axis, keepdims=True) - h0, h1.sum(axis, keepdims=True) - h1 + h0
+        counts = zip(h0.ravel().astype(np.int64).tolist(), h1.ravel().astype(np.int64).tolist())
+        yield from zip(itertools.islice(assignments, q), counts)
 
 
 def residue_independence_check(

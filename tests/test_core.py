@@ -131,6 +131,38 @@ def test_is_prime_agrees_with_the_sieve_below_200000():
     assert [n for n in range(200000) if is_prime(n) != (n in primes)] == []
 
 
+def is_strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# composites above the four-witness bound that are strong pseudoprimes to bases
+# 2, 3, 5 and 7: 3215031751 to those four, 2152302898747 to 2..11,
+# 3474749660383 to 2..13, 341550071728321 to 2..17, 3825123056546413051 to 2..23
+STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051]
+
+
+def test_is_prime_agrees_with_sympy_on_64_bit_integers():
+    sympy = pytest.importorskip("sympy")
+    assert all(is_strong_probable_prime(n, a) for n in STRONG_PSEUDOPRIMES for a in (2, 3, 5, 7))
+    rng = random.Random(64)
+    sample = [rng.randrange(2**32, 2**64) for _ in range(2000)]
+    # odd integers near 2**64, where 2**64 - 59 is the largest prime below it, and
+    # near the four-witness bound, then squares and products of two large primes
+    sample += [2**64 - i for i in range(1, 200, 2)]
+    sample += range(3215031751 - 100, 3215031751 + 100)
+    large_primes = [sympy.prevprime(2**32 - 5 * i) for i in range(1, 6)]
+    sample += [p * q for p in large_primes for q in large_primes]
+    sample += STRONG_PSEUDOPRIMES
+    assert is_prime(2**64 - 59)
+    assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
+    assert not any(map(is_prime, STRONG_PSEUDOPRIMES))
+
+
 def test_assign_residues_normalizes():
     system = validate_modulus_system([2, 3])
     assert assign_residues(system, [7, -1]) == (1, 2)

@@ -340,21 +340,57 @@ def assert_blocks_equal_cold_sieves(s):
 
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (3, 5, 7, 2), (2, 5, 7, 3), (2, 3, 5, 13),
-                                    (4, 9, 5), (2,), (3,), (7,)])
+                                    (4, 9, 5), (2,), (3,), (7,), (2, 3), (3, 7),
+                                    (7, 2, 3), (2, 3, 5), (257, 2)])
 def test_block_histograms_equal_cold_ones(moduli):
-    # last moduli 7, 2, 3 and 13, coprime composites, and k = 1 (an empty head)
+    # last moduli 7, 2, 3 and 13, coprime composites, k = 1 (an empty head),
+    # k = 2 (one tail modulus), k = 3 (a one-modulus head), and 257 rows of 2
+    # columns, whose sums are folded past the bytes
     s = system(moduli, coprime=True)
     assert assert_blocks_equal_cold_sieves(s) == {exact_coverage_histogram(s)[:2]}
 
 
-@pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2)])
+@pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2), (3, 4, 8), (6, 4, 9)])
 def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
     # moduli that share a factor, so the histogram of the window depends on the
     # residues: a block that assumed the identity under test, or read another
     # residue's class, would differ from a cold sieve here (the system skips
-    # validation on purpose)
+    # validation on purpose); the tail moduli of (3, 4, 8) share a factor, so some
+    # grid cells hold no integer and others several, and the head of (6, 4, 9)
+    # shares one with each tail modulus
     s = ModulusSystem(moduli=moduli, product=math.prod(moduli))
     assert len(assert_blocks_equal_cold_sieves(s)) > 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 300), (300, 2), (143, 143),
+                                   (255, 1), (256, 1), (257, 3), (512, 2), (1025, 1), (70000, 1)])
+def test_column_sums_equal_numpy_sums(shape):
+    import numpy as np
+
+    rng = np.random.default_rng(sum(shape))
+    # all ones, whose sums are the row count: folds past 2**8 must not wrap
+    for hits in (rng.random(shape) < 0.3, np.ones(shape, dtype=bool)):
+        expected = hits.sum(axis=0)
+        assert oracle._column_sums(hits.copy()).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("moduli, head, window", [
+    ((2, 3, 5, 7, 11, 13), (2, 3, 5, 7), 30030),  # blocks of 11 * 13 assignments
+    ((7, 3), (7,), 21),  # k = 2: blocks of the last modulus alone
+])
+def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, monkeypatch):
+    calls = []
+    real = oracle._fill
+
+    def spy(lo, hi, filled, residues):
+        calls.append((lo, hi, tuple(filled), tuple(residues)))
+        return real(lo, hi, filled, residues)
+
+    monkeypatch.setattr(oracle, "_fill", spy)
+    assert residue_independence_check(system(moduli), exhaustive=True).all_match
+    # 210 calls for the first 6 primes, p_1 when k = 2, each over the whole window
+    assert calls == [(1, window + 1, head, residues)
+                     for residues in itertools.product(*map(range, head))]
 
 
 def test_concurrent_callers_get_the_histogram_of_their_own_call():

@@ -3,6 +3,7 @@ sieve, Bareiss against Laplace, and results that must not depend on modulus
 order or on how the sieve runs."""
 
 import decimal
+import itertools
 import math
 import re
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcover.oracle as oracle
-from apcover.core import assign_residues, validate_modulus_system
+from apcover.core import ModulusSystem, assign_residues, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.determinant import (
     available_det,
@@ -257,6 +258,30 @@ def test_sieve_matches_fold_on_random_systems(pair):
     moduli, residues = pair
     s = validate_modulus_system(moduli, coprime_mode=True)
     assert sieve_histogram(s, residues) == exact_coverage_histogram(s)
+
+
+@st.composite
+def exhaustive_systems(draw):
+    """k = 1..5 moduli in any order with product <= 2310: a validated prime or
+    coprime system, or unvalidated moduli in 2..9 that may share factors."""
+    if draw(st.booleans()):
+        systems = st.one_of(prime_systems, coprime_composite_systems())
+        moduli = draw(systems.map(lambda m: smallest_within(m, 2310)).filter(bool)
+                      .flatmap(st.permutations))
+        return validate_modulus_system(moduli, coprime_mode=True)
+    moduli = draw(st.lists(st.integers(2, 9), min_size=1, max_size=5)
+                  .filter(lambda m: math.prod(m) <= 2310))
+    return ModulusSystem(moduli=tuple(moduli), product=math.prod(moduli))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(exhaustive_systems())
+@example(validate_modulus_system([7, 2, 11, 3, 5]))
+@example(ModulusSystem(moduli=(3, 4, 9, 2), product=216))
+def test_block_histograms_equal_cold_sieves(s):
+    cold = [(residues, tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1)))
+            for residues in itertools.product(*map(range, s.moduli))]
+    assert list(oracle._exhaustive_histograms(s)) == cold
 
 
 square_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
