@@ -1,27 +1,34 @@
 """Brute-force sieve over [1, product]: the ground truth for the identities.
 
-For a concrete residue assignment the sieve walks the window in chunks and
-keeps a one-byte coverage counter per integer. Each chunk starts from a wheel
-tile (Pritchard, "Explaining the wheel sieve", Acta Informatica 17, 1982): the
-chunk's smallest moduli, while their product stays within
-``WHEEL_PERIOD_LIMIT`` and the chunk's length, are sieved by the same strided
-adds into one period of counters that starts at the chunk's first integer, and
-that period is repeated across the chunk. The remaining moduli bump every
-member of their progression directly (first member located by modular
-arithmetic, no per-integer trial division). Binning reads the multiplicities
-only up to the degree the caller asks for, as the fold of
-``counting.coverage_counts`` stops at x^1: entry j, 1 <= j <= degree, counts
-the integers covered exactly j times by one comparison each; entry 0 is the
-integers left at zero, counted without a comparison. Every integer is still
-sieved: the truncation skips binning passes, never part of the window. Chunks
-are independent and merge by integer addition, so any partition of the window,
-and any degree of parallelism, produces identical results.
+For a concrete residue assignment the sieve walks the window in chunks of
+thermometer bit planes, eight integers per byte: plane j holds the integers
+covered at least j times, for j = 1..degree + 1. A modulus is added by ORing
+into each plane j, from the top down, the plane below it where the modulus's
+progression is set, and then the progression into plane 1. Entry j of the
+histogram, 1 <= j <= degree, is the popcount of plane j minus that of plane
+j + 1, and entry 0 counts the integers outside plane 1. Reading stops at the
+degree the caller asks for, as the fold of ``counting.coverage_counts`` stops
+at x^1; every integer is still sieved, and the truncation only drops planes.
+
+The smallest moduli, while the packed period of their product W, lcm(W, 8)
+integers, fits a chunk, form a wheel (Pritchard, "Explaining the wheel sieve",
+Acta Informatica 17, 1982): their planes are packed once per call from
+``_fill``'s counters over that period, and so is each other modulus's
+progression, over lcm(p, 8) integers. Both are repeated far enough that every
+chunk, widened to whole 64-bit words, is one slice of them, and the bits
+outside the chunk are masked off before counting. A modulus whose packed
+period is longer than a chunk is set chunk by chunk, at its members only.
+Each worker allocates its planes once per call. Chunks are independent and
+their histograms add, so any partition of the window, and any number of
+workers, gives identical results.
 
 An exhaustive check enumerates the assignments in ``itertools.product``
 order, so they come in blocks of q = p_(k-1) * p_k (the last two moduli
 listed; the last one when k <= 2) that share every other residue. Per block it
 fills the counters of the head, the other moduli, once and reshapes them to q
-columns, column t holding the integers congruent to t + 1 mod q. Each column's
+columns, column t holding the integers congruent to t + 1 mod q. The head is
+filled by ``_fill``, one uint8 counter per integer: a wheel tile of its
+smallest moduli, repeated, then a strided add per other modulus. Each column's
 count of integers the head covers 0 and 1 times goes into a grid cell indexed
 by their residues mod the tail moduli. Along each tail axis in turn, residue r
 then turns its class's 0s into 1s and its 1s into 2s: with T_j the sum of h_j
@@ -31,7 +38,7 @@ whenever k >= 2, and nothing assumes the identities under test.
 
 numpy is imported on the first sieve call, before any worker starts, so the
 exact layers never load it; ``concurrent.futures`` only when a call runs more
-than one worker.
+than one worker, which only a call that reads degree 2 or more does.
 
 The sieve, the counts read from it and the independence check take the same
 two keywords: ``product_limit``, the largest window they sieve, and
@@ -50,16 +57,23 @@ from .core import CoverageCounts, ModulusSystem, assign_residues
 from .counting import coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
+# Integers per chunk, one bit in each plane. On a 2-CPU host one worker sieved
+# the first 9 primes at degree 1 as fast at 2**20 as at 2**21 or 2**22, and with
+# the smallest peak RSS; 2**18 took over twice as long (numpy calls of a few us).
 CHUNK_SIZE = 1 << 20
-# Moduli whose product is at most this are sieved into one tile per chunk.
-# On a 2-CPU host 210 and 2310 tied, and 30030 cost 1.4x at a 30030 window.
+# _fill's tile holds the smallest moduli while their product is at most this.
+# On a 2-CPU host 210, 2310 and 30030 tied on exhaustive checks of six primes
+# in four orders, and 30030 took 1.7x as long to fill a 10**5 window of seven.
 WHEEL_PERIOD_LIMIT = 2310
 DEFAULT_PRODUCT_LIMIT = 10**9
-SIEVE_BUDGET = 10**10  # integers sieved per check: 15-40 s at 260-650 M/s (1-2 threads)
-# Each assignment a check tests costs at least what sieving this many integers
-# does: on a 2-CPU host a random check's sieve call at product 6 took 11-17 us,
-# as long as 9500-37500 integers of a large window at 0.95-1.5 G/s (2 threads),
-# so each assignment is charged at least this much.
+# Integers sieved per check. On a 2-CPU host a random check of large windows
+# sieves them in about 1 s (one worker at ~10 G/s); a check of many windows
+# below 10**5, each charged SIEVE_CALL_INTEGERS, takes 20-50 s.
+SIEVE_BUDGET = 10**10
+# Each assignment a check tests is charged at least this many integers. On a
+# 2-CPU host a random check's sieve call at product 6 takes 35-60 us, as long
+# as 0.35-0.6 M integers of a large window; the charge is kept as it was when
+# such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
 
 
@@ -92,7 +106,8 @@ def _check_product(system: ModulusSystem, product_limit: int) -> None:
 
 
 def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
-    """One uint8 coverage counter per integer of [lo, hi): the wheel tile, then strided adds."""
+    """One uint8 coverage counter per integer of [lo, hi): a wheel tile of the
+    smallest moduli (product at most ``WHEEL_PERIOD_LIMIT``), then strided adds."""
     import numpy as np
 
     n = hi - lo
@@ -106,25 +121,111 @@ def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
     tile = np.zeros(period, dtype=np.uint8)
     for p, r in pairs[:wheel]:
         tile[(r - lo) % p :: p] += 1
-    # np.tile's copy, without the ~3 us of its Python wrapper
-    buf = tile if period == n else tile[None].repeat(-(-n // period), axis=0).ravel()[:n]
+    buf = tile if period == n else _repeat(tile, n)
     for p, r in pairs[wheel:]:
         buf[(r - lo) % p :: p] += 1
     return buf
 
 
-def _bin(buf, degree: int) -> list[int]:
-    """Entries 0..degree of the histogram of the counters ``buf``."""
+def _packed(p: int, r: int):
+    """The integers n = r (mod p) of one packed period, lcm(p, 8) integers, as
+    set bits eight per byte: bit i of byte b stands for the integer 8b + i + 1."""
     import numpy as np
 
-    covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
-    return [len(buf) - int(np.count_nonzero(buf)), *covered]
+    bits = np.zeros(8 * _packed_period(p), dtype=bool)
+    bits[(r - 1) % p :: p] = True
+    return np.packbits(bits, bitorder="little")
+
+
+def _repeat(pattern, length: int):
+    """``pattern`` repeated along its last axis and cut to ``length`` (np.tile's
+    copy, without the ~3 us of its Python wrapper)."""
+    copies = pattern[..., None, :].repeat(-(-length // pattern.shape[-1]), axis=-2)
+    return copies.reshape(*pattern.shape[:-1], -1)[..., :length]
+
+
+def _packed_period(period: int) -> int:
+    """Bytes in lcm(period, 8) integers: the period of a ``period``-periodic pattern
+    packed eight integers per byte."""
+    return period // math.gcd(period, 8)
+
+
+def _add(planes, mask, tmp=None) -> None:
+    """Add the progression ``mask`` to thermometer planes, row j - 1 holding the
+    integers covered at least j times: row j gains the row below it where
+    ``mask`` is set (read before any row changes), row 0 gains ``mask``."""
+    import numpy as np
+
+    planes[1:] |= np.bitwise_and(planes[:-1], mask, out=tmp)
+    planes[0] |= mask
+
+
+def _plane_sieve(moduli: tuple[int, ...], residues: tuple[int, ...], degree: int, span: int):
+    """A function that sieves chunks [lo, hi) of at most ``span`` integers and
+    returns entries 0..degree of their summed coverage histogram. Each call of
+    it allocates its planes once, for all of its chunks."""
+    import numpy as np
+
+    nbytes = 8 * (((span + 62) >> 6) + 1)  # the words a chunk of span integers can touch
+    pairs = sorted(zip(moduli, residues))
+    period, wheel = 1, 0  # the wheel's product and how many moduli it holds
+    for p, _ in pairs:
+        if _packed_period(period * p) > nbytes:
+            break
+        period *= p
+        wheel += 1
+    wheel_bytes = _packed_period(period)
+    counts = _fill(1, 8 * wheel_bytes + 1, [p for p, _ in pairs[:wheel]],
+                   [r for _, r in pairs[:wheel]])
+    planes = np.packbits(counts > np.arange(degree + 1)[:, None], axis=1, bitorder="little")
+    wheel_planes = _repeat(planes, wheel_bytes + nbytes)  # any chunk is one slice
+    dense, sparse = [], []
+    for p, r in pairs[wheel:]:
+        packed_bytes = _packed_period(p)
+        if packed_bytes > nbytes:
+            sparse.append((p, r))
+        else:
+            dense.append((_repeat(_packed(p, r), packed_bytes + nbytes), packed_bytes))
+
+    def sieve(bounds: Iterable[tuple[int, int]]) -> list[int]:
+        buf = np.empty((degree + 1, nbytes), dtype=np.uint8)
+        tmp = np.empty((degree, nbytes), dtype=np.uint8)
+        ones = np.zeros(degree + 1, dtype=np.uint64)  # set bits of each plane
+        integers = 0
+        for lo, hi in bounds:
+            # the bytes of the 64-bit words holding the bits lo - 1 .. hi - 2
+            start, stop = 8 * ((lo - 1) >> 6), 8 * (((hi - 2) >> 6) + 1)
+            ge = buf[:, : stop - start]
+            s = start % wheel_bytes
+            np.copyto(ge, wheel_planes[:, s : s + stop - start])
+            for mask, packed_bytes in dense:
+                s = start % packed_bytes
+                _add(ge, mask[s : s + stop - start], tmp[:, : stop - start])
+            for p, r in sparse:
+                bits = np.arange((r - 1 - 8 * start) % p, 8 * (stop - start), p)
+                cols = bits >> 3
+                members = ge[:, cols]
+                _add(members, (1 << (bits & 7)).astype(np.uint8))
+                ge[:, cols] = members
+            words = ge.view("<u8")
+            if (lo - 1) & 63:
+                words[:, 0] &= np.uint64((1 << 64) - (1 << ((lo - 1) & 63)))
+            if (hi - 1) & 63:
+                words[:, -1] &= np.uint64((1 << ((hi - 1) & 63)) - 1)
+            # uint32 sums: a plane of a chunk holds fewer than 2**32 bits
+            ones += np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
+            integers += hi - lo
+        at_least = ones.tolist()
+        return [integers - at_least[0],
+                *(at_least[j - 1] - at_least[j] for j in range(1, degree + 1))]
+
+    return sieve
 
 
 def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
                      residues: tuple[int, ...], degree: int) -> list[int]:
     """Entries 0..degree of the coverage histogram of the window slice [lo, hi)."""
-    return _bin(_fill(lo, hi, moduli, residues), degree)
+    return _plane_sieve(moduli, residues, degree, hi - lo)([(lo, hi)])
 
 
 def sieve_histogram(
@@ -143,29 +244,22 @@ def sieve_histogram(
     degree = system.k if degree is None else degree
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
-    bounds = list(range(1, system.product + 1, CHUNK_SIZE)) + [system.product + 1]
-    chunk_args = (bounds[:-1], bounds[1:], itertools.repeat(system.moduli),
-                  itertools.repeat(residues), itertools.repeat(degree))
+    end = system.product + 1
+    bounds = [(lo, min(lo + CHUNK_SIZE, end)) for lo in range(1, end, CHUNK_SIZE)]
+    sieve = _plane_sieve(system.moduli, residues, degree, min(CHUNK_SIZE, system.product))
     cpus = _usable_cpus()
-    workers = min(threads or cpus, cpus, len(bounds) - 1)
+    # below degree 2 each numpy call of a chunk takes a few us, and a second
+    # worker made a call slower, not faster (GIL handoffs between the calls)
+    workers = min(threads or cpus, cpus, len(bounds)) if degree >= 2 else 1
     if workers > 1:
         # imported here: concurrent.futures loads threading, queue and logging
         from concurrent.futures import ThreadPoolExecutor
 
-        import numpy  # noqa: F401  # a first import here, not in several workers at once
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _merge(pool.map(_chunk_histogram, *chunk_args), degree)
-    return _merge(map(_chunk_histogram, *chunk_args), degree)
-
-
-def _merge(partials: Iterator[list[int]], degree: int) -> tuple[int, ...]:
-    """Exact sum of chunk histograms as each finishes (collecting first raised peak RSS)."""
-    totals = [0] * (degree + 1)
-    for hist in partials:
-        for j in range(degree + 1):
-            totals[j] += hist[j]
-    return tuple(totals)
+            parts = list(pool.map(sieve, (bounds[i::workers] for i in range(workers))))
+    else:
+        parts = [sieve(bounds)]
+    return tuple(map(sum, zip(*parts)))
 
 
 def oracle_counts(

@@ -275,7 +275,7 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         # each sieve call is charged at least SIEVE_CALL_INTEGERS = 16384 integers
         (("verify", "--primes", "2,3", "--trials", "1000000000"), 3,
          "16384000000000 integers to sieve exceed the random budget 10000000000"),
-        # 2.4 million calls of 10-25 us each would run 24-60 s; the limit is ~610000 trials
+        # 2.4 million calls of 35-60 us each would run 84-144 s; the limit is ~610000 trials
         (("verify", "--primes", "2,3", "--trials", "2400000"), 3,
          "39321600000 integers to sieve exceed the random budget 10000000000"),
         (("det", "--first-k", "30000", "--which", "available", "--method", "bareiss"), 3,
@@ -840,8 +840,11 @@ OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
         # which itself imports inspect, so inspect is not checked here
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1',"
          " '--threads', '2'])", OPTIONAL_IMPORTS[:3], set()),
+        # ten chunks, but a random check reads degree 1, which one worker sieves
+        ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3,5,7,11,13,17,19',"
+         " '--trials', '1', '--threads', '2'])", OPTIONAL_IMPORTS[:3], set()),
     ],
-    ids=["import", "count", "oeis", "verify-one-chunk"],
+    ids=["import", "count", "oeis", "verify-one-chunk", "verify-many-chunks"],
 )
 def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded):
     assert modules_loaded_after(code, names) == loaded

@@ -61,12 +61,26 @@ def test_oracle_counts_examples():
     assert (counts.available, counts.free) == (140, 48)
 
 
-@pytest.mark.parametrize("chunk_size", [1, 7, 1 << 20])
+@pytest.mark.parametrize("chunk_size", [1, 7, 1 << 20, 97, 1000])
 def test_chunked_execution_invariance(chunk_size, monkeypatch):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
     monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
     assert sieve_histogram(s, a) == (48, 92, 56, 13, 1)
+    # windows that are not a multiple of 8, even coprime composites (packed over
+    # lcm(p, 8) integers), and moduli packed longer than a chunk's bytes, which
+    # are set chunk by chunk: at every degree, on one worker and on two
+    systems = [(3, 5, 7), (8, 9, 5), (4, 9, 25), (2, 3, 1009)]
+    if chunk_size >= 1000:  # at most 2001 chunks
+        systems.append((2, 1000003))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    for moduli in systems:
+        s = system(moduli, coprime=True)
+        a = assign_residues(s, [(5 * i + 3) % p for i, p in enumerate(moduli)])
+        full = exact_coverage_histogram(s)
+        for threads in (1, 2):
+            for degree in range(s.k + 1):
+                assert sieve_histogram(s, a, threads=threads, degree=degree) == full[: degree + 1]
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -108,6 +122,19 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 105)
     assert sieve_histogram(s, a, threads=4) == expected
     assert pools == [4, 2]  # never more workers than chunks
+
+
+def test_degree_0_and_1_sieve_on_one_worker(monkeypatch):
+    # their numpy calls are too short for a second worker to pay for its GIL handoffs
+    pools = recording_pools(monkeypatch, cpus=4)
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
+    s = system([2, 3, 5, 7])  # 30 chunks of 7
+    a = assign_residues(s, [1, 2, 3, 4])
+    assert sieve_histogram(s, a, threads=4, degree=0) == (48,)
+    assert sieve_histogram(s, a, threads=0, degree=1) == (48, 92)
+    assert pools == []
+    assert sieve_histogram(s, a, threads=4, degree=2) == (48, 92, 56)
+    assert pools == [4]
 
 
 def test_workers_never_exceed_usable_cpus(monkeypatch):
@@ -266,6 +293,8 @@ def test_chunk_histogram_matches_gamma_at_any_start(moduli):
         (7, 25, 4, 9),  # coprime composites
         (4, 9, 25, 7),
         (211, 223),  # no modulus small enough for a tile of more than one
+        (8, 9, 25),  # even coprime composites, packed over lcm(p, 8) integers
+        (2, 3, 1009),  # 1009 packs to more bytes than any chunk of this window
     ],
 )
 @pytest.mark.parametrize("chunk_size", [1, 97, 1000, 1 << 20])
@@ -277,10 +306,12 @@ def test_sieve_matches_gamma_on_wheel_edge_systems(moduli, chunk_size, monkeypat
     assert list(sieve_histogram(s, a)) == brute_histogram(s, a, 1, s.product + 1)
 
 
-# the same starts, every degree: entries 0..degree of the full histogram
-@pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (13, 2, 3, 5, 7, 11)])
+# the same starts, every degree: entries 0..degree of the full histogram; also
+# even coprime composites, and 1009, packed longer than a slice's bytes
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (13, 2, 3, 5, 7, 11), (8, 9, 25, 7),
+                                    (2, 3, 1009)])
 def test_chunk_histogram_truncates_at_every_degree(moduli):
-    s = system(moduli)
+    s = system(moduli, coprime=True)
     a = assign_residues(s, [(5 * i + 2) % p for i, p in enumerate(moduli)])
     for lo in (2, 228, 2311 + 17, 30030 - 6100):
         for length in (1, 211, 6000):
@@ -423,3 +454,38 @@ def test_random_check_sieves_each_trial_once_at_degree_1(monkeypatch):
     trials, seed = 200, 3
     assert residue_independence_check(s, trials=trials, seed=seed).all_match
     assert calls == [(residues, 1) for residues in oracle._random_assignments(s, trials, seed)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage, as Linux reports them")
+def test_one_worker_faults_its_planes_in_once_per_call_not_per_chunk():
+    import resource
+
+    s = system([2, 3, 5, 7, 11, 13, 17, 19, 23])  # 213 chunks of 2**20 integers
+    a = assign_residues(s, [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    expected = coverage_counts(s)
+    want = (expected.free, expected.available - expected.free)
+    assert sieve_histogram(s, a, degree=1) == want  # numpy's first calls fault in on their own
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert sieve_histogram(s, a, degree=1) == want
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # each chunk's two 128 KiB planes are 64 pages: buffers made per chunk would
+    # fault at least 213 * 64 times, where buffers made per call fault a few hundred
+    assert faults < 2048
+
+
+def test_a_modulus_packed_longer_than_a_chunk_takes_memory_of_a_chunk(monkeypatch):
+    import tracemalloc
+
+    # 1000003 packs to 1000003 bytes, from 8 MB of bools; a chunk of 4096
+    # integers takes 520 bytes a plane, and the 489 chunk bounds about 60 KB
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 1 << 12)
+    s = system([2, 1000003])
+    assert sieve_histogram(system([2, 3]), [0, 0]) == (2, 3, 1)  # imports numpy first
+    tracemalloc.start()
+    try:
+        assert sieve_histogram(s, [1, 5], degree=1) == (1000002, 1000003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18

@@ -186,6 +186,29 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, t
             exact_coverage_histogram(s)[: degree + 1]
 
 
+@settings(PROPERTY, max_examples=150)
+@given(
+    moduli=st.lists(st.one_of(st.integers(2, 40), st.integers(41, 10**5)), min_size=1,
+                    max_size=8),
+    residues=st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8),
+    lo=st.integers(1, 10**7),
+    length=st.integers(1, 5000),
+    degree=st.integers(0, 8),
+)
+@example(moduli=[2, 1000003], residues=[1, 5] + [0] * 6, lo=999_997, length=4099, degree=2)
+@example(moduli=[8, 9, 25, 4], residues=[3, 1, 7, 2] + [0] * 4, lo=13, length=803, degree=4)
+def test_planes_equal_the_fill_counters_binned(moduli, residues, lo, length, degree):
+    # the two kernels on any slice of any moduli, shared factors and repeats
+    # included: wheel, dense and member-by-member moduli, and unaligned edges
+    import numpy as np
+
+    a = tuple(residues[: len(moduli)])
+    degree %= len(moduli) + 1
+    counters = oracle._fill(lo, lo + length, tuple(moduli), a)
+    binned = np.bincount(counters, minlength=len(moduli) + 1)[: degree + 1].tolist()
+    assert oracle._chunk_histogram(lo, lo + length, tuple(moduli), a, degree) == binned
+
+
 # Runs of 3 to 6 calls that share every residue but the last and step the
 # last up by 1 (wrapping mod its modulus), in the order an exhaustive check
 # enumerates them; residues from {0, 1, 2} but the last, so consecutive runs
