@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--threads", type=int, default=0,
-        help="most sieve workers per call, 0 = one per usable CPU",
+        help="accepted for compatibility; verify sieves on one worker whatever it is",
     )
 
     p_oeis = _subcommand(sub, "oeis", _run_oeis, "emit sequence terms", moduli=False)

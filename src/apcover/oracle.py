@@ -20,7 +20,9 @@ outside the chunk are masked off before counting. A modulus whose packed
 period is longer than a chunk is set chunk by chunk, at its members only.
 Each worker allocates its planes once per call. Chunks are independent and
 their histograms add, so any partition of the window, and any number of
-workers, gives identical results.
+workers, gives identical results. A window of one chunk and at most
+``COUNTER_WINDOW`` integers skips the planes, whose packing would cost more
+than it saves: it is binned from ``_fill``'s counters.
 
 An exhaustive check enumerates the assignments in ``itertools.product``
 order, so they come in blocks of q = p_(k-1) * p_k (the last two moduli
@@ -38,7 +40,7 @@ whenever k >= 2, and nothing assumes the identities under test.
 
 numpy is imported on the first sieve call, before any worker starts, so the
 exact layers never load it; ``concurrent.futures`` only when a call runs more
-than one worker, which only a call that reads degree 2 or more does.
+than one worker, which only a call that reads degree 3 or more does.
 
 The sieve, the counts read from it and the independence check take the same
 two keywords: ``product_limit``, the largest window they sieve, and
@@ -61,6 +63,11 @@ from .errors import ResourceLimitError, ValidationError
 # the first 9 primes at degree 1 as fast at 2**20 as at 2**21 or 2**22, and with
 # the smallest peak RSS; 2**18 took over twice as long (numpy calls of a few us).
 CHUNK_SIZE = 1 << 20
+# One-chunk windows of at most this many integers are binned from _fill's
+# counters. On a 2-CPU host, at degree 1, counters took 10-50 us to the planes'
+# 43-119 us up to product 30030, and 378-588 to 587-755 us from 510510 to
+# 746130; at 881790 they were within 7%, and from 10**6 the planes won by 23-33%.
+COUNTER_WINDOW = 800_000
 # _fill's tile holds the smallest moduli while their product is at most this.
 # On a 2-CPU host 210, 2310 and 30030 tied on exhaustive checks of six primes
 # in four orders, and 30030 took 1.7x as long to fill a 10**5 window of seven.
@@ -68,11 +75,11 @@ WHEEL_PERIOD_LIMIT = 2310
 DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
 # sieves them in about 1 s (one worker at ~10 G/s); a check of many windows
-# below 10**5, each charged SIEVE_CALL_INTEGERS, takes 20-50 s.
+# below 10**5, each charged max(product, SIEVE_CALL_INTEGERS), takes 11-14 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
-# 2-CPU host a random check's sieve call at product 6 takes 35-60 us, as long
-# as 0.35-0.6 M integers of a large window; the charge is kept as it was when
+# 2-CPU host a random check takes 18-21 us a trial at product 6, as long as
+# 0.15-0.2 M integers of a large window take; the charge is kept as it was when
 # such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
 
@@ -125,6 +132,14 @@ def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
     for p, r in pairs[wheel:]:
         buf[(r - lo) % p :: p] += 1
     return buf
+
+
+def _bin(buf, degree: int) -> list[int]:
+    """Entries 0..degree of the histogram of the counters ``buf``."""
+    import numpy as np
+
+    covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
+    return [len(buf) - int(np.count_nonzero(buf)), *covered]
 
 
 def _packed(p: int, r: int):
@@ -245,12 +260,17 @@ def sieve_histogram(
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
     end = system.product + 1
+    if system.product <= min(CHUNK_SIZE, COUNTER_WINDOW):
+        return tuple(_bin(_fill(1, end, system.moduli, residues), degree))
     bounds = [(lo, min(lo + CHUNK_SIZE, end)) for lo in range(1, end, CHUNK_SIZE)]
     sieve = _plane_sieve(system.moduli, residues, degree, min(CHUNK_SIZE, system.product))
     cpus = _usable_cpus()
-    # below degree 2 each numpy call of a chunk takes a few us, and a second
-    # worker made a call slower, not faster (GIL handoffs between the calls)
-    workers = min(threads or cpus, cpus, len(bounds)) if degree >= 2 else 1
+    # below degree 3 each numpy call of a chunk takes a few us, and a second worker
+    # does not pay for its GIL handoffs between the calls. On a 2-CPU host a call
+    # on the first 9 primes took a median 30 ms on one worker and 43 on two at
+    # degree 1, and 42-53 ms on either at degree 2; from degree 3 two won, with
+    # medians 50-67 ms against 45-52 at degree 3 and 231 against 128 at degree 9
+    workers = min(threads or cpus, cpus, len(bounds)) if degree >= 3 else 1
     if workers > 1:
         # imported here: concurrent.futures loads threading, queue and logging
         from concurrent.futures import ThreadPoolExecutor

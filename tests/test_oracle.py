@@ -124,7 +124,7 @@ def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
     assert pools == [4, 2]  # never more workers than chunks
 
 
-def test_degree_0_and_1_sieve_on_one_worker(monkeypatch):
+def test_degrees_below_3_sieve_on_one_worker(monkeypatch):
     # their numpy calls are too short for a second worker to pay for its GIL handoffs
     pools = recording_pools(monkeypatch, cpus=4)
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
@@ -132,9 +132,36 @@ def test_degree_0_and_1_sieve_on_one_worker(monkeypatch):
     a = assign_residues(s, [1, 2, 3, 4])
     assert sieve_histogram(s, a, threads=4, degree=0) == (48,)
     assert sieve_histogram(s, a, threads=0, degree=1) == (48, 92)
-    assert pools == []
     assert sieve_histogram(s, a, threads=4, degree=2) == (48, 92, 56)
+    assert pools == []
+    assert sieve_histogram(s, a, threads=4, degree=3) == (48, 92, 56, 13)
     assert pools == [4]
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (11, 2, 7, 3, 5), (4, 9, 25, 7), (211, 223),
+                                    (8, 9, 25), (2, 3, 1009)])
+def test_one_chunk_windows_up_to_the_counter_window_are_binned_from_counters(moduli, monkeypatch):
+    # there the planes' packing costs more than it saves; both kernels agree at every degree
+    spans = []
+    real_plane_sieve = oracle._plane_sieve
+
+    def recording_plane_sieve(moduli, residues, degree, span):
+        spans.append(span)
+        return real_plane_sieve(moduli, residues, degree, span)
+
+    monkeypatch.setattr(oracle, "_plane_sieve", recording_plane_sieve)
+    s = system(moduli, coprime=True)
+    a = assign_residues(s, [(3 * i + 1) % p for i, p in enumerate(moduli)])
+    full = exact_coverage_histogram(s)
+    for counter_window, chunk_size, span in [(s.product, s.product, None),
+                                             (s.product - 1, s.product, s.product),
+                                             (s.product, s.product - 1, s.product - 1)]:
+        monkeypatch.setattr(oracle, "COUNTER_WINDOW", counter_window)
+        monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
+        spans.clear()
+        for degree in range(s.k + 1):
+            assert sieve_histogram(s, a, degree=degree) == full[: degree + 1]
+        assert spans == ([] if span is None else [span] * (s.k + 1))
 
 
 def test_workers_never_exceed_usable_cpus(monkeypatch):

@@ -207,6 +207,7 @@ def test_planes_equal_the_fill_counters_binned(moduli, residues, lo, length, deg
     counters = oracle._fill(lo, lo + length, tuple(moduli), a)
     binned = np.bincount(counters, minlength=len(moduli) + 1)[: degree + 1].tolist()
     assert oracle._chunk_histogram(lo, lo + length, tuple(moduli), a, degree) == binned
+    assert oracle._bin(counters, degree) == binned
 
 
 # Runs of 3 to 6 calls that share every residue but the last and step the
