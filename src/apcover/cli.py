@@ -42,7 +42,7 @@ import time
 from collections.abc import Iterable, Iterator
 from typing import Any, NoReturn
 
-from .core import CoverageCounts, ModulusSystem, validate_modulus_system
+from .core import CoverageCounts, ModulusSystem, _product, validate_modulus_system
 from .counting import (
     coverage_counts,
     exact_coverage_histogram,
@@ -79,12 +79,13 @@ Output = tuple[dict[str, Any], dict[str, Any], Iterable[Iterable[str]], int]
 
 def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
     if args.first_k is not None:
-        moduli = first_primes(args.first_k)
-    else:
-        try:
-            moduli = [int(part) for part in args.primes.split(",") if part.strip() != ""]
-        except ValueError:
-            raise ValidationError(f"cannot parse moduli list {args.primes!r}") from None
+        # distinct primes by construction, so not tested for primality again
+        moduli = tuple(first_primes(args.first_k))
+        return ModulusSystem(moduli, _product(moduli))
+    try:
+        moduli = [int(part) for part in args.primes.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"cannot parse moduli list {args.primes!r}") from None
     return validate_modulus_system(moduli, coprime_mode=args.coprime)
 
 

@@ -1,46 +1,34 @@
 """Brute-force sieve over [1, product]: the ground truth for the identities.
 
-For a concrete residue assignment the sieve walks the window in chunks of
-thermometer bit planes, eight integers per byte: plane j holds the integers
-covered at least j times, for j = 1..degree + 1. A modulus is added by ORing
-into each plane j, from the top down, the plane below it where the modulus's
-progression is set, and then the progression into plane 1. Entry j of the
-histogram, 1 <= j <= degree, is the popcount of plane j minus that of plane
-j + 1, and entry 0 counts the integers outside plane 1. Reading stops at the
-degree the caller asks for, as the fold of ``counting.coverage_counts`` stops
-at x^1; every integer is still sieved, and the truncation only drops planes.
+For one residue assignment the sieve walks the window in chunks of thermometer
+bit planes, eight integers per byte: plane j holds the integers covered at least
+j times, j = 1..degree + 1. A modulus is added by ORing into each plane, from
+the top down, the plane below it where the modulus's progression is set, then
+the progression into plane 1. Entry j of the histogram is the popcount of plane
+j minus that of plane j + 1 (entry 0: the integers outside plane 1). Reading
+stops at the degree asked for, as the fold of ``counting.coverage_counts`` stops
+at x^1; every integer is still sieved.
 
-The smallest moduli, while the packed period of their product W, lcm(W, 8)
-integers, fits a chunk, form a wheel (Pritchard, "Explaining the wheel sieve",
-Acta Informatica 17, 1982): their planes are packed once per call from
-``_fill``'s counters over that period, and so is each other modulus's
-progression, over lcm(p, 8) integers. Both are repeated far enough that every
-chunk, widened to whole 64-bit words, is one slice of them, and the bits
-outside the chunk are masked off before counting. A modulus whose packed
-period is longer than a chunk is set chunk by chunk, at its members only.
-Each worker allocates its planes once per call. Chunks are independent and
-their histograms add, so any partition of the window, and any number of
-workers, gives identical results. A window of one chunk and at most
-``COUNTER_WINDOW`` integers skips the planes, whose packing would cost more
-than it saves: it is binned from ``_fill``'s counters.
+The smallest moduli, while lcm(W, 8) integers of their product W fit a chunk,
+form a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
+1982). It and each other modulus's progression are packed once per call and
+repeated so that every chunk, widened to 64-bit words, is one slice of them; a
+modulus packed longer than a chunk is set at its members only. Chunk histograms
+add, so any partition of the window and any number of workers give identical
+results. A one-chunk window of at most ``COUNTER_WINDOW`` integers is binned
+from ``_fill``'s counters instead.
 
-An exhaustive check enumerates the assignments in ``itertools.product``
-order, so they come in blocks of q = p_(k-1) * p_k (the last two moduli
-listed; the last one when k <= 2) that share every other residue. Per block it
-fills the counters of the head, the other moduli, once and reshapes them to q
-columns, column t holding the integers congruent to t + 1 mod q. The head is
-filled by ``_fill``, one uint8 counter per integer: a wheel tile of its
-smallest moduli, repeated, then a strided add per other modulus. Each column's
-count of integers the head covers 0 and 1 times goes into a grid cell indexed
-by their residues mod the tail moduli. Along each tail axis in turn, residue r
-then turns its class's 0s into 1s and its 1s into 2s: with T_j the sum of h_j
-over that axis, h_0 becomes T_0 - h_0 and h_1 becomes T_1 - h_1 + h_0. Every
-count is still read off this block's counters, at least one modulus is sieved
-whenever k >= 2, and nothing assumes the identities under test.
+An exhaustive check needs no numpy. Its tail is the two largest moduli (the
+largest when k <= 2), its head the others. Per head assignment ``_fill`` fills
+a counter byte per integer, and the integers covered 0 and 1 times are counted
+per class mod the tail moduli. Along each tail axis, residue r then turns its
+class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and h_1 becomes
+T_1 - h_1 + h_0, T_j the sum of h_j over the axis. Every count is read off a
+fill, a modulus is sieved when k >= 2, and nothing assumes the identities.
 
-numpy is imported on the first sieve call, before any worker starts, so the
-exact layers never load it; ``concurrent.futures`` only when a call runs more
-than one worker, which only a call that reads degree 3 or more does.
+numpy is imported on the first sieve call, before any worker starts, and
+``concurrent.futures`` only by a call that runs more than one worker, which
+only a call reading degree 3 or more does.
 
 The sieve, the counts read from it and the independence check take the same
 two keywords: ``product_limit``, the largest window they sieve, and
@@ -53,35 +41,40 @@ import itertools
 import math
 import os
 import random
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CoverageCounts, ModulusSystem, assign_residues
 from .counting import coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
-# Integers per chunk, one bit in each plane. On a 2-CPU host one worker sieved
-# the first 9 primes at degree 1 as fast at 2**20 as at 2**21 or 2**22, and with
-# the smallest peak RSS; 2**18 took over twice as long (numpy calls of a few us).
+# Integers per chunk. On a 2-CPU host one worker sieved the first 9 primes at
+# degree 1 as fast at 2**20 as at 2**21 or 2**22, with the least peak RSS;
+# 2**18 took over twice as long (numpy calls of a few us).
 CHUNK_SIZE = 1 << 20
 # One-chunk windows of at most this many integers are binned from _fill's
 # counters. On a 2-CPU host, at degree 1, counters took 10-50 us to the planes'
 # 43-119 us up to product 30030, and 378-588 to 587-755 us from 510510 to
 # 746130; at 881790 they were within 7%, and from 10**6 the planes won by 23-33%.
 COUNTER_WINDOW = 800_000
-# _fill's tile holds the smallest moduli while their product is at most this.
-# On a 2-CPU host 210, 2310 and 30030 tied on exhaustive checks of six primes
-# in four orders, and 30030 took 1.7x as long to fill a 10**5 window of seven.
-WHEEL_PERIOD_LIMIT = 2310
 DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
-# sieves them in about 1 s (one worker at ~10 G/s); a check of many windows
-# below 10**5, each charged max(product, SIEVE_CALL_INTEGERS), takes 11-14 s.
+# sieves them in about 1 s (one worker at ~10 G/s), one of many windows below
+# 10**5, each charged max(product, SIEVE_CALL_INTEGERS), in 6-12 s, and the
+# worst exhaustive one, near 10**5 (2, 3, 5, 7, 11, 43), in 0.3-0.4 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
-# 2-CPU host a random check takes 18-21 us a trial at product 6, as long as
-# 0.15-0.2 M integers of a large window take; the charge is kept as it was when
+# 2-CPU host a random check takes 10-20 us a trial at product 6, as long as
+# 0.1-0.2 M integers of a large window take; the charge is kept as it was when
 # such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
+# Exhaustive blocks of fewer rows than this, and than columns, fold them. On a
+# 2-CPU host folds took 0.14-0.67x the time of column counts from 2 to 42 rows,
+# 0.8-1.06x from 66 to 110, and 1.28-1.6x from 154 on.
+FOLD_ROWS = 128
+_INC = bytes(range(1, 256)) + b"\0"  # translate tables: each byte plus one,
+_FLAGS = (b"\1" + bytes(255), b"\0\1" + bytes(254))  # and flags of bytes 0 and 1
 
 
 class IndependenceReport(NamedTuple):
@@ -112,34 +105,32 @@ def _check_product(system: ModulusSystem, product_limit: int) -> None:
         raise ResourceLimitError(f"product {system.product} exceeds sieve limit {product_limit}")
 
 
-def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]):
-    """One uint8 coverage counter per integer of [lo, hi): a wheel tile of the
-    smallest moduli (product at most ``WHEEL_PERIOD_LIMIT``), then strided adds."""
-    import numpy as np
-
+def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]) -> bytearray:
+    """One coverage counter byte per integer of [lo, hi). While the product of
+    the smallest moduli fits the window, buf is one period of them: it is
+    repeated p times before modulus p is added, by a strided translate."""
     n = hi - lo
-    pairs = sorted(zip(moduli, residues))
-    period, wheel = 1, 0  # the tile's length and how many moduli it holds
-    for p, _ in pairs:
-        if period * p > min(WHEEL_PERIOD_LIMIT, n):
-            break
-        period *= p
-        wheel += 1
-    tile = np.zeros(period, dtype=np.uint8)
-    for p, r in pairs[:wheel]:
-        tile[(r - lo) % p :: p] += 1
-    buf = tile if period == n else _repeat(tile, n)
-    for p, r in pairs[wheel:]:
-        buf[(r - lo) % p :: p] += 1
-    return buf
+    buf = bytearray(1)
+    for p, r in sorted(zip(moduli, residues)):
+        if len(buf) < n:
+            buf = buf * p if len(buf) * p <= n else _tile(buf, n)
+        s = (r - lo) % p
+        buf[s::p] = buf[s::p].translate(_INC)
+    return buf if len(buf) == n else _tile(buf, n)
 
 
-def _bin(buf, degree: int) -> list[int]:
+def _tile(buf: bytearray, n: int) -> bytearray:
+    """``buf`` repeated and cut to n bytes."""
+    return buf * (n // len(buf)) + buf[: n % len(buf)]
+
+
+def _bin(buf: bytearray, degree: int) -> list[int]:
     """Entries 0..degree of the histogram of the counters ``buf``."""
     import numpy as np
 
-    covered = [int(np.count_nonzero(buf == j)) for j in range(1, degree + 1)]
-    return [len(buf) - int(np.count_nonzero(buf)), *covered]
+    counts = np.frombuffer(buf, dtype=np.uint8)
+    covered = [int(np.count_nonzero(counts == j)) for j in range(1, degree + 1)]
+    return [len(buf) - int(np.count_nonzero(counts)), *covered]
 
 
 def _packed(p: int, r: int):
@@ -190,8 +181,8 @@ def _plane_sieve(moduli: tuple[int, ...], residues: tuple[int, ...], degree: int
         period *= p
         wheel += 1
     wheel_bytes = _packed_period(period)
-    counts = _fill(1, 8 * wheel_bytes + 1, [p for p, _ in pairs[:wheel]],
-                   [r for _, r in pairs[:wheel]])
+    counts = np.frombuffer(_fill(1, 8 * wheel_bytes + 1, [p for p, _ in pairs[:wheel]],
+                                 [r for _, r in pairs[:wheel]]), dtype=np.uint8)
     planes = np.packbits(counts > np.arange(degree + 1)[:, None], axis=1, bitorder="little")
     wheel_planes = _repeat(planes, wheel_bytes + nbytes)  # any chunk is one slice
     dense, sparse = [], []
@@ -265,11 +256,10 @@ def sieve_histogram(
     bounds = [(lo, min(lo + CHUNK_SIZE, end)) for lo in range(1, end, CHUNK_SIZE)]
     sieve = _plane_sieve(system.moduli, residues, degree, min(CHUNK_SIZE, system.product))
     cpus = _usable_cpus()
-    # below degree 3 each numpy call of a chunk takes a few us, and a second worker
-    # does not pay for its GIL handoffs between the calls. On a 2-CPU host a call
-    # on the first 9 primes took a median 30 ms on one worker and 43 on two at
-    # degree 1, and 42-53 ms on either at degree 2; from degree 3 two won, with
-    # medians 50-67 ms against 45-52 at degree 3 and 231 against 128 at degree 9
+    # below degree 3 a second worker does not pay for its GIL handoffs between numpy
+    # calls of a few us: on a 2-CPU host, on the first 9 primes, one worker against
+    # two took medians of 30 vs 43 ms at degree 1, 42-53 ms either way at degree 2,
+    # 50-67 vs 45-52 ms at degree 3 and 231 vs 128 ms at degree 9
     workers = min(threads or cpus, cpus, len(bounds)) if degree >= 3 else 1
     if workers > 1:
         # imported here: concurrent.futures loads threading, queue and logging
@@ -299,69 +289,73 @@ def oracle_counts(
 
 
 def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
-    return CoverageCounts(
-        available=free + once,
-        free=free,
-        occupied=system.product - free - once,
-        product=system.product,
-    )
+    return CoverageCounts(free + once, free, system.product - free - once, system.product)
 
 
-def _random_assignments(
-    system: ModulusSystem, trials: int, seed: int
-) -> Iterator[tuple[int, ...]]:
+def _random_assignments(system: ModulusSystem, trials: int, seed: int) -> Iterator[tuple]:
     rng = random.Random(seed)
     for _ in range(trials):
         yield tuple(rng.randrange(p) for p in system.moduli)
 
 
-def _column_sums(hits):
-    """Column sums of the bool matrix ``hits``, which is folded in place.
+def _column_counts(buf: bytearray, q: int) -> list[list[int]]:
+    """How many 0s, then 1s, each column buf[t::q] holds. Fewer rows than columns
+    and than ``FOLD_ROWS`` are folded instead: a value's 0/1 flags read as one
+    int of byte lanes, whose bottom half of rows is added onto its top half."""
+    rows = len(buf) // q
+    if rows >= min(q, FOLD_ROWS):
+        columns = [buf[t::q] for t in range(q)]
+        return [list(map(bytearray.count, columns, repeat(j))) for j in (0, 1)]
+    sums = []
+    for flags in map(buf.translate, _FLAGS):
+        x, n = int.from_bytes(flags, "little"), rows
+        while n > 1:
+            keep = n - n // 2  # an odd count's middle row stays as it is
+            shift = 8 * q * keep
+            x, n = (x & ((1 << shift) - 1)) + (x >> shift), keep
+        sums.append([*x.to_bytes(q, "little")])
+    return sums
 
-    A sum over axis 0 makes one pass per row, each as short as a row, so while
-    there are more rows than columns the bottom half of the rows is first added
-    onto the top half. Each fold at most doubles an entry, so the first 7 add
-    bytes (entries stay within 2**7) and the rest int32.
-    """
-    import numpy as np
 
-    sums, folds = hits.view(np.uint8), 0
-    while len(sums) > sums.shape[1]:
-        if folds == 7:
-            sums = sums.astype(np.int32)
-        keep = len(sums) - len(sums) // 2  # an odd count's middle row stays as it is
-        sums[: len(sums) - keep] += sums[keep:]
-        sums, folds = sums[:keep], folds + 1
-    return sums.sum(axis=0, dtype=np.int32)
+def _exhaustive_histograms(system: ModulusSystem) -> Iterator[tuple[tuple, tuple[int, int]]]:
+    """(residues, (free, once)) for every assignment, in ``itertools.product`` order,
+    read from window-sized tables that each block fills."""
+    from array import array
 
-
-def _exhaustive_histograms(
-    system: ModulusSystem,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
-    """(residues, (free, once)) for every assignment, in ``itertools.product``
-    order: one fill of the head moduli per block of q = p_(k-1) * p_k assignments."""
-    import numpy as np
-
-    split = -2 if system.k >= 3 else -1  # at least one modulus is sieved when k >= 2
-    head, tail = system.moduli[:split], system.moduli[split:]
-    q = math.prod(tail)
-    # column t holds the integers t + 1, t + 1 + q, ... (q divides the window); their
-    # cell is their residue mod each tail modulus, raveled in enumeration order
-    n = np.arange(1, q + 1)
-    cells = np.ravel_multi_index([n % p for p in tail], tail)
-    # the tail residues vary fastest, so each block's q assignments come next in this order
-    assignments = itertools.product(*map(range, system.moduli))
-    for residues in itertools.product(*map(range, head)):
-        columns = _fill(1, system.product + 1, head, residues).reshape(-1, q)
-        # h_j[cell]: the integers of the cell that the head covers j times; the
-        # float64 sums are exact, as SIEVE_BUDGET keeps an exhaustive window within 10**5
-        h0, h1 = (np.bincount(cells, weights=_column_sums(columns == j), minlength=q)
-                  .reshape(tail) for j in (0, 1))
-        for axis in range(len(tail)):
-            # residue r of this axis covers the integers of class r: its 0s become 1s, its 1s 2s
-            h0, h1 = h0.sum(axis, keepdims=True) - h0, h1.sum(axis, keepdims=True) - h1 + h0
-        counts = zip(h0.ravel().astype(np.int64).tolist(), h1.ravel().astype(np.int64).tolist())
-        yield from zip(itertools.islice(assignments, q), counts)
+    moduli, size = system.moduli, system.product
+    by_size = sorted(range(system.k), key=moduli.__getitem__)
+    split = -2 if system.k >= 3 else -1
+    head, tail = by_size[:split], by_size[split:]  # the largest last: few grid rows
+    head_moduli, shape = tuple(moduli[i] for i in head), [moduli[i] for i in tail]
+    q, period = math.prod(shape), math.lcm(*shape)
+    strides = [math.prod(moduli[i + 1 :]) for i in range(system.k)]  # in the tables
+    # grid cells: tail residues, raveled; column u of the period, the integers
+    # u + 1 + period * N, is the one in the cell of u + 1's residues
+    cells, axes = [0] * period, []
+    for d, p in enumerate(shape):
+        g = q // math.prod(shape[: d + 1])  # the axis's stride in the grid
+        cells = [c + (u + 1) % p * g for u, c in enumerate(cells)]
+        # its lines, and the line of each cell
+        lines = [slice(o + i, o + i + p * g, g) for o in range(0, q, p * g) for i in range(g)]
+        axes.append((lines, [c // (p * g) * g + c % g for c in range(q)]))
+    source = [-1] * q  # each cell's column, or -1 for a 0 appended to the counts
+    for u, c in enumerate(cells):
+        source[c] = u
+    last, step = shape[-1], strides[tail[-1]]  # grid row a is at a * strides[tail[0]]
+    free, once = array("q", [0]) * size, array("q", [0]) * size
+    for residues in itertools.product(*map(range, head_moduli)):
+        h0, h1 = ([*map([*counts, 0].__getitem__, source)] for counts in
+                  _column_counts(_fill(1, size + 1, head_moduli, residues), period))
+        for lines, line_of in axes:  # residue r covers class r: its 0s become 1s, its 1s 2s
+            t0, t1 = ([*map(sum, map(h.__getitem__, lines))] for h in (h0, h1))
+            h0, h1 = ([*map(sub, map(t0.__getitem__, line_of), h0)],
+                      [*map(add, map(sub, map(t1.__getitem__, line_of), h1), h0)])
+        base = sum(r * strides[i] for r, i in zip(residues, head))
+        for a, cell in enumerate(range(0, q, last)):
+            at = base + a * strides[tail[0]]
+            at = slice(at, at + last * step, step)
+            free[at], once[at] = (array("q", h[cell : cell + last]) for h in (h0, h1))
+    yield from zip(itertools.product(*map(range, moduli)), zip(free, once))
 
 
 def residue_independence_check(
@@ -376,12 +370,10 @@ def residue_independence_check(
     """Sieve many assignments and compare each against the recurrence counts.
 
     Random mode draws ``trials`` assignments from a generator seeded with
-    ``seed`` (each residue uniform in [0, p)), so reports are reproducible.
-    Exhaustive mode enumerates all ``product`` assignments. Each assignment
-    is charged ``product`` integers, and at least ``SIEVE_CALL_INTEGERS``, so
-    a check is refused, before any sieving, when its window exceeds the
-    product limit or when assignments x max(product, ``SIEVE_CALL_INTEGERS``)
-    exceeds ``SIEVE_BUDGET``.
+    ``seed`` (each residue uniform in [0, p)), so reports are reproducible;
+    exhaustive mode enumerates all ``product`` of them. A check is refused,
+    before any sieving, when its window exceeds the product limit or when
+    assignments x max(product, ``SIEVE_CALL_INTEGERS``) exceeds ``SIEVE_BUDGET``.
     """
     _check_options(product_limit, threads)
     expected = coverage_counts(system)

@@ -815,10 +815,13 @@ def env_with_src():
         ("import apcover.cli; apcover.cli.main(['count', '--primes', '2,3,5'])", False),
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1'])",
          True),
+        # an exhaustive check fills and counts byte strings on the standard library
+        ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3,5', '--exhaustive'])",
+         False),
         # product 6469693230 is over the default --limit: refused before any sieving
         ("import apcover.cli; apcover.cli.main(['verify', '--first-k', '10'])", False),
     ],
-    ids=["import", "count", "verify", "verify-refused"],
+    ids=["import", "count", "verify", "verify-exhaustive", "verify-refused"],
 )
 def test_numpy_is_loaded_only_by_the_sieve(code, loaded):
     assert ("numpy" in modules_loaded_after(code, ("numpy",))) == loaded

@@ -135,6 +135,14 @@ def test_first_primes_small_counts_match_trial_division(count):
     assert first_primes(count) == primes[:count]
 
 
+def test_first_primes_agree_with_sympy():
+    # the CLI builds --first-k systems from first_primes without a primality test
+    sympy = pytest.importorskip("sympy")
+    primes = first_primes(10**4)
+    assert primes == list(sympy.primerange(2, sympy.prime(10**4) + 1))
+    assert all(primes[n - 1] == sympy.prime(n) for n in range(1, 10**4 + 1, 499))
+
+
 def test_first_primes_limit():
     assert first_primes(20000)[-1] == 224737
     with pytest.raises(ResourceLimitError, match="first-primes limit"):

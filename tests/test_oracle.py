@@ -373,28 +373,59 @@ def test_oracle_counts_asks_the_sieve_for_degree_1(monkeypatch):
     assert degrees == [1, 1, 1, 1]
 
 
+# every order of moduli whose blocks differ: four primes, a one-modulus head,
+# k = 2, a large modulus with a small one, and unvalidated moduli sharing factors
+EVERY_ORDER = [m for base in [(2, 3, 5, 7), (7, 2, 3), (3, 7), (49999, 2), (3, 4, 8), (6, 4, 9)]
+               for m in dict.fromkeys(itertools.permutations(base))]
+
+
+def listed(moduli):
+    return ",".join(map(str, moduli))
+
+
+def unvalidated(moduli):
+    return ModulusSystem(moduli=moduli, product=math.prod(moduli))
+
+
 def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypatch):
-    s = system([5, 2, 3])  # the first five assignments change the second residue too
-    monkeypatch.setattr(oracle, "coverage_counts", lambda _: coverage_counts(system([2, 3, 7])))
-    report = residue_independence_check(s, exhaustive=True)
-    assert report.assignments_tested == 30
-    assert not report.all_match
-    assert report.expected == coverage_counts(system([2, 3, 7]))
-    first_five = list(itertools.islice(itertools.product(range(5), range(2), range(3)), 5))
-    assert [residues for residues, _ in report.mismatches] == first_five
-    for residues, observed in report.mismatches:
-        free, once, *_ = brute_histogram(s, residues, 1, s.product + 1)
-        assert observed == CoverageCounts(available=free + once, free=free,
-                                          occupied=s.product - free - once, product=s.product)
+    # expected counts no assignment of a window below 110880 integers can meet
+    monkeypatch.setattr(oracle, "coverage_counts", lambda _: coverage_counts(system([331, 337])))
+    # (5, 2, 3): the first five assignments change the second residue too
+    for moduli in [(5, 2, 3), *EVERY_ORDER]:
+        s = unvalidated(moduli)
+        report = residue_independence_check(s, exhaustive=True)
+        assert report.assignments_tested == s.product
+        assert not report.all_match
+        assert report.expected == coverage_counts(system([331, 337]))
+        first_five = list(itertools.islice(itertools.product(*map(range, moduli)), 5))
+        assert [residues for residues, _ in report.mismatches] == first_five
+        for residues, observed in report.mismatches:
+            free, once = oracle._chunk_histogram(1, s.product + 1, moduli, residues, 1)
+            assert observed == CoverageCounts(available=free + once, free=free,
+                                              occupied=s.product - free - once,
+                                              product=s.product)
+            if s.product < 1000:
+                assert [free, once] == brute_histogram(s, residues, 1, s.product + 1)[:2]
 
 
-def assert_blocks_equal_cold_sieves(s):
-    """Every (residues, (free, once)) of the exhaustive blocks, in enumeration
-    order, equals a fresh sieve of that assignment; returns the histograms."""
-    cold = [(residues, tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1)))
-            for residues in itertools.product(*(range(p) for p in s.moduli))]
-    assert list(oracle._exhaustive_histograms(s)) == cold
-    return {hist for _, hist in cold}
+def assert_blocks_equal_cold_sieves(s, every=1):
+    """Every (residues, (free, once)) of the exhaustive blocks is in enumeration
+    order, and every ``every``-th one and the last equal a fresh sieve of that
+    assignment; returns the histograms."""
+    blocks = list(oracle._exhaustive_histograms(s))
+    assert [residues for residues, _ in blocks] == list(itertools.product(*map(range, s.moduli)))
+    for residues, hist in blocks[::every] + blocks[-1:]:
+        assert hist == tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1))
+    return {hist for _, hist in blocks}
+
+
+@pytest.mark.parametrize("moduli", EVERY_ORDER, ids=listed)
+def test_block_histograms_equal_cold_sieves_in_every_order(moduli):
+    # 49999 * 2 assignments: every 997th (odd, so both residues mod 2) is sieved cold
+    s = unvalidated(moduli)
+    histograms = assert_blocks_equal_cold_sieves(s, every=997 if s.product > 10**4 else 1)
+    if all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2)):
+        assert histograms == {exact_coverage_histogram(s)[:2]}
 
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (3, 5, 7, 2), (2, 5, 7, 3), (2, 3, 5, 13),
@@ -421,22 +452,49 @@ def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 300), (300, 2), (143, 143),
-                                   (255, 1), (256, 1), (257, 3), (512, 2), (1025, 1), (70000, 1)])
+                                   (255, 1), (256, 1), (257, 3), (512, 2), (1025, 1), (70000, 1),
+                                   (2, 3), (127, 128), (128, 129), (255, 256), (256, 257),
+                                   (420, 1), (420, 421)])
 def test_column_sums_equal_numpy_sums(shape):
+    # rows x columns: fewer rows than columns, and than FOLD_ROWS (127 x 128 at
+    # most), are folded; every other shape counts sliced columns
     import numpy as np
 
     rng = np.random.default_rng(sum(shape))
-    # all ones, whose sums are the row count: folds past 2**8 must not wrap
-    for hits in (rng.random(shape) < 0.3, np.ones(shape, dtype=bool)):
-        expected = hits.sum(axis=0)
-        assert oracle._column_sums(hits.copy()).tolist() == expected.tolist()
+    # all zeros and all ones, whose sums are the row count: folds must not wrap
+    for counts in (rng.integers(0, 3, shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8),
+                   np.ones(shape, dtype=np.uint8)):
+        buf, q = bytearray(counts.tobytes()), shape[1]
+        expected = [(counts == j).sum(axis=0).tolist() for j in (0, 1)]
+        assert oracle._column_counts(buf, q) == expected
+        assert expected == [[sum(v == j for v in buf[t::q]) for t in range(q)] for j in (0, 1)]
 
 
 @pytest.mark.parametrize("moduli, head, window", [
     ((2, 3, 5, 7, 11, 13), (2, 3, 5, 7), 30030),  # blocks of 11 * 13 assignments
-    ((7, 3), (7,), 21),  # k = 2: blocks of the last modulus alone
+    ((7, 3), (3,), 21),  # k = 2: blocks of the larger modulus alone
 ])
 def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, monkeypatch):
+    # 210 calls for the first 6 primes, 3 for (7, 3), each over the whole window
+    report, calls = exhaustive_fills(system(moduli), monkeypatch)
+    assert report.all_match
+    assert calls == [(1, window + 1, head, residues)
+                     for residues in itertools.product(*map(range, head))]
+
+
+@pytest.mark.parametrize("moduli", EVERY_ORDER, ids=listed)
+def test_exhaustive_check_fills_the_same_head_in_every_order(moduli, monkeypatch):
+    # the head is every modulus but the two largest (the largest when k = 2), in
+    # increasing order, wherever the tail moduli are listed
+    head = tuple(sorted(moduli))[: -2 if len(moduli) >= 3 else -1]
+    report, calls = exhaustive_fills(unvalidated(moduli), monkeypatch)
+    assert report.assignments_tested == math.prod(moduli)
+    assert calls == [(1, math.prod(moduli) + 1, head, residues)
+                     for residues in itertools.product(*map(range, head))]
+
+
+def exhaustive_fills(s, monkeypatch):
+    """The report of an exhaustive check of ``s``, and its ``_fill`` calls."""
     calls = []
     real = oracle._fill
 
@@ -445,10 +503,7 @@ def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, mo
         return real(lo, hi, filled, residues)
 
     monkeypatch.setattr(oracle, "_fill", spy)
-    assert residue_independence_check(system(moduli), exhaustive=True).all_match
-    # 210 calls for the first 6 primes, p_1 when k = 2, each over the whole window
-    assert calls == [(1, window + 1, head, residues)
-                     for residues in itertools.product(*map(range, head))]
+    return residue_independence_check(s, exhaustive=True), calls
 
 
 def test_concurrent_callers_get_the_histogram_of_their_own_call():
