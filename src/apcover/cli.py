@@ -215,12 +215,13 @@ def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
 
 
 def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
+    if args.threads < 0:  # scripts pass --threads; the sieve runs on one worker
+        raise ValidationError("threads must be >= 0")
     report = residue_independence_check(
         system,
         trials=args.trials,
         seed=args.seed,
         product_limit=args.limit,
-        threads=args.threads,
         exhaustive=args.exhaustive,
     )
     inputs = {

@@ -14,9 +14,9 @@ form a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
 1982). It and each other modulus's progression are packed once per call and
 repeated so that every chunk, widened to 64-bit words, is one slice of them; a
 modulus packed longer than a chunk is set at its members only. Chunk histograms
-add, so any partition of the window and any number of workers give identical
-results. A one-chunk window of at most ``COUNTER_WINDOW`` integers is binned
-from ``_fill``'s counters instead.
+add, so any partition of the window gives identical results. A one-chunk window
+of at most ``COUNTER_WINDOW`` integers is binned from ``_fill``'s counters
+instead.
 
 An exhaustive check needs no numpy. Its tail is the two largest moduli (the
 largest when k <= 2), its head the others. Per head assignment ``_fill`` fills
@@ -26,32 +26,27 @@ class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and h_1 becomes
 T_1 - h_1 + h_0, T_j the sum of h_j over the axis. Every count is read off a
 fill, a modulus is sieved when k >= 2, and nothing assumes the identities.
 
-numpy is imported on the first sieve call, before any worker starts, and
-``concurrent.futures`` only by a call that runs more than one worker, which
-only a call reading degree 3 or more does.
-
-The sieve, the counts read from it and the independence check take the same
-two keywords: ``product_limit``, the largest window they sieve, and
-``threads``, the most workers per sieve call (0 = one per usable CPU).
+numpy is imported on the first sieve call. The sieve, the counts read from it
+and the independence check take the same keyword ``product_limit``, the largest
+window they sieve.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from itertools import repeat
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import CoverageCounts, ModulusSystem, assign_residues
+from .core import CoverageCounts, ModulusSystem, _integers, assign_residues
 from .counting import coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
-# Integers per chunk. On a 2-CPU host one worker sieved the first 9 primes at
-# degree 1 as fast at 2**20 as at 2**21 or 2**22, with the least peak RSS;
-# 2**18 took over twice as long (numpy calls of a few us).
+# Integers per chunk. On a 2-CPU host the first 9 primes sieved at degree 1 as
+# fast at 2**20 as at 2**21 or 2**22, with the least peak RSS; 2**18 took over
+# twice as long (numpy calls of a few us).
 CHUNK_SIZE = 1 << 20
 # One-chunk windows of at most this many integers are binned from _fill's
 # counters. On a 2-CPU host, at degree 1, counters took 10-50 us to the planes'
@@ -60,9 +55,9 @@ CHUNK_SIZE = 1 << 20
 COUNTER_WINDOW = 800_000
 DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
-# sieves them in about 1 s (one worker at ~10 G/s), one of many windows below
-# 10**5, each charged max(product, SIEVE_CALL_INTEGERS), in 6-12 s, and the
-# worst exhaustive one, near 10**5 (2, 3, 5, 7, 11, 43), in 0.3-0.4 s.
+# sieves them in about 1 s (~10 G/s), one of many windows below 10**5, each
+# charged max(product, SIEVE_CALL_INTEGERS), in 6-12 s, and the worst exhaustive
+# one, near 10**5 (2, 3, 5, 7, 11, 43), in 0.3-0.4 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
 # 2-CPU host a random check takes 10-20 us a trial at product 6, as long as
@@ -86,18 +81,17 @@ class IndependenceReport(NamedTuple):
     mismatches: tuple[tuple[tuple[int, ...], CoverageCounts], ...] = ()
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _integer(value: int, what: str) -> int:
+    """``value`` by ``__index__``, as core reads moduli: a float or NaN is refused."""
+    (value,) = _integers([value], what)
+    return value
 
 
-def _check_options(product_limit: int, threads: int) -> None:
+def _check_options(product_limit: int) -> int:
+    product_limit = _integer(product_limit, "product_limit")
     if product_limit < 1:
         raise ValidationError("product_limit must be >= 1")
-    if threads < 0:
-        raise ValidationError("threads must be >= 0")
+    return product_limit
 
 
 def _check_product(system: ModulusSystem, product_limit: int) -> None:
@@ -166,12 +160,14 @@ def _add(planes, mask, tmp=None) -> None:
     planes[0] |= mask
 
 
-def _plane_sieve(moduli: tuple[int, ...], residues: tuple[int, ...], degree: int, span: int):
-    """A function that sieves chunks [lo, hi) of at most ``span`` integers and
-    returns entries 0..degree of their summed coverage histogram. Each call of
-    it allocates its planes once, for all of its chunks."""
+def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
+                     residues: tuple[int, ...], degree: int) -> list[int]:
+    """Entries 0..degree of the coverage histogram of the window slice [lo, hi),
+    sieved in chunks of at most ``CHUNK_SIZE`` integers into planes allocated
+    once for all of them."""
     import numpy as np
 
+    span = min(CHUNK_SIZE, hi - lo)
     nbytes = 8 * (((span + 62) >> 6) + 1)  # the words a chunk of span integers can touch
     pairs = sorted(zip(moduli, residues))
     period, wheel = 1, 0  # the wheel's product and how many moduli it holds
@@ -185,6 +181,7 @@ def _plane_sieve(moduli: tuple[int, ...], residues: tuple[int, ...], degree: int
                                  [r for _, r in pairs[:wheel]]), dtype=np.uint8)
     planes = np.packbits(counts > np.arange(degree + 1)[:, None], axis=1, bitorder="little")
     wheel_planes = _repeat(planes, wheel_bytes + nbytes)  # any chunk is one slice
+    del counts, planes  # so that the chunk's buffers can reuse their memory
     dense, sparse = [], []
     for p, r in pairs[wheel:]:
         packed_bytes = _packed_period(p)
@@ -193,45 +190,35 @@ def _plane_sieve(moduli: tuple[int, ...], residues: tuple[int, ...], degree: int
         else:
             dense.append((_repeat(_packed(p, r), packed_bytes + nbytes), packed_bytes))
 
-    def sieve(bounds: Iterable[tuple[int, int]]) -> list[int]:
-        buf = np.empty((degree + 1, nbytes), dtype=np.uint8)
-        tmp = np.empty((degree, nbytes), dtype=np.uint8)
-        ones = np.zeros(degree + 1, dtype=np.uint64)  # set bits of each plane
-        integers = 0
-        for lo, hi in bounds:
-            # the bytes of the 64-bit words holding the bits lo - 1 .. hi - 2
-            start, stop = 8 * ((lo - 1) >> 6), 8 * (((hi - 2) >> 6) + 1)
-            ge = buf[:, : stop - start]
-            s = start % wheel_bytes
-            np.copyto(ge, wheel_planes[:, s : s + stop - start])
-            for mask, packed_bytes in dense:
-                s = start % packed_bytes
-                _add(ge, mask[s : s + stop - start], tmp[:, : stop - start])
-            for p, r in sparse:
-                bits = np.arange((r - 1 - 8 * start) % p, 8 * (stop - start), p)
-                cols = bits >> 3
-                members = ge[:, cols]
-                _add(members, (1 << (bits & 7)).astype(np.uint8))
-                ge[:, cols] = members
-            words = ge.view("<u8")
-            if (lo - 1) & 63:
-                words[:, 0] &= np.uint64((1 << 64) - (1 << ((lo - 1) & 63)))
-            if (hi - 1) & 63:
-                words[:, -1] &= np.uint64((1 << ((hi - 1) & 63)) - 1)
-            # uint32 sums: a plane of a chunk holds fewer than 2**32 bits
-            ones += np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
-            integers += hi - lo
-        at_least = ones.tolist()
-        return [integers - at_least[0],
-                *(at_least[j - 1] - at_least[j] for j in range(1, degree + 1))]
-
-    return sieve
-
-
-def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
-                     residues: tuple[int, ...], degree: int) -> list[int]:
-    """Entries 0..degree of the coverage histogram of the window slice [lo, hi)."""
-    return _plane_sieve(moduli, residues, degree, hi - lo)([(lo, hi)])
+    buf = np.empty((degree + 1, nbytes), dtype=np.uint8)
+    tmp = np.empty((degree, nbytes), dtype=np.uint8)
+    ones = np.zeros(degree + 1, dtype=np.uint64)  # set bits of each plane
+    for first in range(lo, hi, CHUNK_SIZE):
+        end = min(first + CHUNK_SIZE, hi)
+        # the bytes of the 64-bit words holding the bits first - 1 .. end - 2
+        start, stop = 8 * ((first - 1) >> 6), 8 * (((end - 2) >> 6) + 1)
+        ge = buf[:, : stop - start]
+        s = start % wheel_bytes
+        np.copyto(ge, wheel_planes[:, s : s + stop - start])
+        for mask, packed_bytes in dense:
+            s = start % packed_bytes
+            _add(ge, mask[s : s + stop - start], tmp[:, : stop - start])
+        for p, r in sparse:
+            bits = np.arange((r - 1 - 8 * start) % p, 8 * (stop - start), p)
+            cols = bits >> 3
+            members = ge[:, cols]
+            _add(members, (1 << (bits & 7)).astype(np.uint8))
+            ge[:, cols] = members
+        words = ge.view("<u8")
+        if (first - 1) & 63:
+            words[:, 0] &= np.uint64((1 << 64) - (1 << ((first - 1) & 63)))
+        if (end - 1) & 63:
+            words[:, -1] &= np.uint64((1 << ((end - 1) & 63)) - 1)
+        # uint32 sums: a plane of a chunk holds fewer than 2**32 bits
+        ones += np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
+    at_least = ones.tolist()
+    return [hi - lo - at_least[0],
+            *(at_least[j - 1] - at_least[j] for j in range(1, degree + 1))]
 
 
 def sieve_histogram(
@@ -239,37 +226,18 @@ def sieve_histogram(
     residues: Iterable[int],
     *,
     product_limit: int = DEFAULT_PRODUCT_LIMIT,
-    threads: int = 1,
     degree: int | None = None,
 ) -> tuple[int, ...]:
     """Entry j, for j = 0..degree (default k), counts the integers in
     [1, product] covered exactly j times, by direct enumeration."""
-    _check_options(product_limit, threads)
-    _check_product(system, product_limit)
+    _check_product(system, _check_options(product_limit))
     residues = assign_residues(system, residues)
-    degree = system.k if degree is None else degree
+    degree = system.k if degree is None else _integer(degree, "degree")
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
-    end = system.product + 1
     if system.product <= min(CHUNK_SIZE, COUNTER_WINDOW):
-        return tuple(_bin(_fill(1, end, system.moduli, residues), degree))
-    bounds = [(lo, min(lo + CHUNK_SIZE, end)) for lo in range(1, end, CHUNK_SIZE)]
-    sieve = _plane_sieve(system.moduli, residues, degree, min(CHUNK_SIZE, system.product))
-    cpus = _usable_cpus()
-    # below degree 3 a second worker does not pay for its GIL handoffs between numpy
-    # calls of a few us: on a 2-CPU host, on the first 9 primes, one worker against
-    # two took medians of 30 vs 43 ms at degree 1, 42-53 ms either way at degree 2,
-    # 50-67 vs 45-52 ms at degree 3 and 231 vs 128 ms at degree 9
-    workers = min(threads or cpus, cpus, len(bounds)) if degree >= 3 else 1
-    if workers > 1:
-        # imported here: concurrent.futures loads threading, queue and logging
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sieve, (bounds[i::workers] for i in range(workers))))
-    else:
-        parts = [sieve(bounds)]
-    return tuple(map(sum, zip(*parts)))
+        return tuple(_bin(_fill(1, system.product + 1, system.moduli, residues), degree))
+    return tuple(_chunk_histogram(1, system.product + 1, system.moduli, residues, degree))
 
 
 def oracle_counts(
@@ -277,15 +245,14 @@ def oracle_counts(
     residues: Iterable[int],
     *,
     product_limit: int = DEFAULT_PRODUCT_LIMIT,
-    threads: int = 1,
 ) -> CoverageCounts:
     """Free/available/occupied counts as the sieve actually observes them.
 
     Only the integers covered at most once are binned; every other integer
     of the window, all of which are sieved, is occupied.
     """
-    return _counts(system, *sieve_histogram(system, residues, product_limit=product_limit,
-                                            threads=threads, degree=1))
+    histogram = sieve_histogram(system, residues, product_limit=product_limit, degree=1)
+    return _counts(system, *histogram)
 
 
 def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
@@ -364,7 +331,6 @@ def residue_independence_check(
     seed: int = 0,
     *,
     product_limit: int = DEFAULT_PRODUCT_LIMIT,
-    threads: int = 1,
     exhaustive: bool = False,
 ) -> IndependenceReport:
     """Sieve many assignments and compare each against the recurrence counts.
@@ -375,17 +341,18 @@ def residue_independence_check(
     before any sieving, when its window exceeds the product limit or when
     assignments x max(product, ``SIEVE_CALL_INTEGERS``) exceeds ``SIEVE_BUDGET``.
     """
-    _check_options(product_limit, threads)
+    product_limit = _check_options(product_limit)
     expected = coverage_counts(system)
     if exhaustive:
         mode, assignments = "exhaustive", system.product
         observed = _exhaustive_histograms(system)
     else:
+        trials = _integer(trials, "trials")
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials
         observed = ((residues, sieve_histogram(system, residues, product_limit=product_limit,
-                                               threads=threads, degree=1))
+                                               degree=1))
                     for residues in _random_assignments(system, trials, seed))
     _check_product(system, product_limit)
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)

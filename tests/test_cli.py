@@ -251,6 +251,9 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("verify", "--primes", "2,3", "--trials", "0"), 2, "trials must be >= 1"),
         (("verify", "--primes", "2,3", "--threads", "-1"), 2, "threads must be >= 0"),
         (("verify", "--primes", "2,3", "--limit", "0"), 2, "product_limit must be >= 1"),
+        # verify refuses its own --threads before the library reads --limit
+        (("verify", "--primes", "2,3", "--limit", "0", "--threads", "-1"), 2,
+         "error: threads must be >= 0\n"),
         (("verify", "--primes", "2,3,5", "--limit", "10"), 3,
          "product 30 exceeds sieve limit 10"),
         (("verify", "--primes", "3,5,7,11,13,17,19", "--exhaustive"), 3,
@@ -299,7 +302,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
     ],
     ids=[
         "composite", "empty", "laplace-dimension-13", "trials-0", "threads-negative",
-        "limit-0", "over-limit", "exhaustive-4849845", "exhaustive-510510",
+        "limit-0", "limit-0-threads-negative", "over-limit", "exhaustive-4849845",
+        "exhaustive-510510",
         "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
         "random-call-minimum", "random-call-minimum-2400000", "bareiss-dimension-30000",
@@ -839,15 +843,18 @@ OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
          OPTIONAL_IMPORTS, set()),
         ("import apcover.cli; apcover.cli.main(['oeis', '--sequence', 'A067549', '--terms', '3'])",
          OPTIONAL_IMPORTS, {"decimal"}),
-        # one chunk, so one worker whatever --threads asks for; the sieve loads numpy,
+        # the sieve runs on one worker whatever --threads asks for; it loads numpy,
         # which itself imports inspect, so inspect is not checked here
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1',"
          " '--threads', '2'])", OPTIONAL_IMPORTS[:3], set()),
-        # ten chunks, but a random check reads degree 1, which one worker sieves
+        # ten chunks
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3,5,7,11,13,17,19',"
          " '--trials', '1', '--threads', '2'])", OPTIONAL_IMPORTS[:3], set()),
+        # ten chunks, read at every degree by a library call
+        ("import apcover as a; s = a.validate_modulus_system(a.first_primes(8));"
+         " a.sieve_histogram(s, range(8), degree=8)", OPTIONAL_IMPORTS[:3], set()),
     ],
-    ids=["import", "count", "oeis", "verify-one-chunk", "verify-many-chunks"],
+    ids=["import", "count", "oeis", "verify-one-chunk", "verify-many-chunks", "library-degree-k"],
 )
 def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded):
     assert modules_loaded_after(code, names) == loaded

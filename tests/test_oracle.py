@@ -69,109 +69,42 @@ def test_chunked_execution_invariance(chunk_size, monkeypatch):
     assert sieve_histogram(s, a) == (48, 92, 56, 13, 1)
     # windows that are not a multiple of 8, even coprime composites (packed over
     # lcm(p, 8) integers), and moduli packed longer than a chunk's bytes, which
-    # are set chunk by chunk: at every degree, on one worker and on two
+    # are set chunk by chunk: at every degree
     systems = [(3, 5, 7), (8, 9, 5), (4, 9, 25), (2, 3, 1009)]
     if chunk_size >= 1000:  # at most 2001 chunks
         systems.append((2, 1000003))
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     for moduli in systems:
         s = system(moduli, coprime=True)
         a = assign_residues(s, [(5 * i + 3) % p for i, p in enumerate(moduli)])
         full = exact_coverage_histogram(s)
-        for threads in (1, 2):
-            for degree in range(s.k + 1):
-                assert sieve_histogram(s, a, threads=threads, degree=degree) == full[: degree + 1]
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    s = system([2, 3, 5, 7, 11])
-    a = assign_residues(s, [1, 1, 2, 3, 5])
-    # tiny chunks force a real multi-chunk merge
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 128)
-    seq = sieve_histogram(s, a, threads=1)
-    par = sieve_histogram(s, a, threads=4)
-    auto = sieve_histogram(s, a, threads=0)
-    assert seq == par == auto
-    assert sum(seq) == s.product
-
-
-def recording_pools(monkeypatch, cpus):
-    """Pretend the process may use ``cpus`` CPUs; record each pool's max_workers."""
-    pools = []
-    real_pool = concurrent.futures.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-    return pools
-
-
-def test_thread_pool_only_for_more_than_one_worker(monkeypatch):
-    pools = recording_pools(monkeypatch, cpus=4)
-    s = system([2, 3, 5, 7])
-    a = assign_residues(s, [1, 2, 3, 4])
-    expected = (48, 92, 56, 13, 1)
-    assert sieve_histogram(s, a, threads=4) == expected  # one chunk
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
-    assert sieve_histogram(s, a, threads=1) == expected
-    assert pools == []
-    assert sieve_histogram(s, a, threads=4) == expected
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 105)
-    assert sieve_histogram(s, a, threads=4) == expected
-    assert pools == [4, 2]  # never more workers than chunks
-
-
-def test_degrees_below_3_sieve_on_one_worker(monkeypatch):
-    # their numpy calls are too short for a second worker to pay for its GIL handoffs
-    pools = recording_pools(monkeypatch, cpus=4)
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
-    s = system([2, 3, 5, 7])  # 30 chunks of 7
-    a = assign_residues(s, [1, 2, 3, 4])
-    assert sieve_histogram(s, a, threads=4, degree=0) == (48,)
-    assert sieve_histogram(s, a, threads=0, degree=1) == (48, 92)
-    assert sieve_histogram(s, a, threads=4, degree=2) == (48, 92, 56)
-    assert pools == []
-    assert sieve_histogram(s, a, threads=4, degree=3) == (48, 92, 56, 13)
-    assert pools == [4]
+        for degree in range(s.k + 1):
+            assert sieve_histogram(s, a, degree=degree) == full[: degree + 1]
 
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (11, 2, 7, 3, 5), (4, 9, 25, 7), (211, 223),
                                     (8, 9, 25), (2, 3, 1009)])
 def test_one_chunk_windows_up_to_the_counter_window_are_binned_from_counters(moduli, monkeypatch):
     # there the planes' packing costs more than it saves; both kernels agree at every degree
-    spans = []
-    real_plane_sieve = oracle._plane_sieve
+    windows = []
+    real_chunk_histogram = oracle._chunk_histogram
 
-    def recording_plane_sieve(moduli, residues, degree, span):
-        spans.append(span)
-        return real_plane_sieve(moduli, residues, degree, span)
+    def recording_chunk_histogram(lo, hi, moduli, residues, degree):
+        windows.append((lo, hi))
+        return real_chunk_histogram(lo, hi, moduli, residues, degree)
 
-    monkeypatch.setattr(oracle, "_plane_sieve", recording_plane_sieve)
+    monkeypatch.setattr(oracle, "_chunk_histogram", recording_chunk_histogram)
     s = system(moduli, coprime=True)
     a = assign_residues(s, [(3 * i + 1) % p for i, p in enumerate(moduli)])
     full = exact_coverage_histogram(s)
-    for counter_window, chunk_size, span in [(s.product, s.product, None),
-                                             (s.product - 1, s.product, s.product),
-                                             (s.product, s.product - 1, s.product - 1)]:
+    for counter_window, chunk_size, planes in [(s.product, s.product, False),
+                                               (s.product - 1, s.product, True),
+                                               (s.product, s.product - 1, True)]:
         monkeypatch.setattr(oracle, "COUNTER_WINDOW", counter_window)
         monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
-        spans.clear()
+        windows.clear()
         for degree in range(s.k + 1):
             assert sieve_histogram(s, a, degree=degree) == full[: degree + 1]
-        assert spans == ([] if span is None else [span] * (s.k + 1))
-
-
-def test_workers_never_exceed_usable_cpus(monkeypatch):
-    pools = recording_pools(monkeypatch, cpus=3)
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 7)
-    s = system([2, 3, 5, 7])  # 30 chunks of 7
-    a = assign_residues(s, [1, 2, 3, 4])
-    for threads in (0, 8):
-        assert sieve_histogram(s, a, threads=threads) == (48, 92, 56, 13, 1)
-    assert pools == [3, 3]
+        assert windows == [(1, s.product + 1)] * (s.k + 1 if planes else 0)
 
 
 def test_product_limit_refusal():
@@ -285,10 +218,23 @@ def test_sieve_config_validation():
                   functools.partial(residue_independence_check, s)):
         with pytest.raises(ValidationError, match="product_limit must be >= 1"):
             sieve(product_limit=0)
-        with pytest.raises(ValidationError, match="threads must be >= 0"):
-            sieve(threads=-1)
-        with pytest.raises(ValidationError, match="product_limit must be >= 1"):
-            sieve(product_limit=0, threads=-1)  # the limit is refused first
+        # read by __index__, as moduli are: NaN would compare false and lift the limit
+        for limit in (30.0, float("nan"), "30"):
+            with pytest.raises(ValidationError, match=f"product_limit {limit!r} is not an integer"):
+                sieve(product_limit=limit)
+    for degree in (1.0, "1"):
+        with pytest.raises(ValidationError, match=f"degree {degree!r} is not an integer"):
+            sieve_histogram(s, (0, 0), degree=degree)
+    for trials in (2.5, 2.0, "2"):
+        with pytest.raises(ValidationError, match=f"trials {trials!r} is not an integer"):
+            residue_independence_check(s, trials=trials)
+    # a bool is an int, read as 0 or 1, on a counter window and on the planes alike
+    for moduli in ([2, 3, 5], [2, 3, 5, 7, 11, 13, 17, 19]):
+        t = system(moduli)
+        zeros = (0,) * t.k
+        assert sieve_histogram(t, zeros, degree=True) == sieve_histogram(t, zeros, degree=1)
+        assert sieve_histogram(t, zeros, degree=False) == sieve_histogram(t, zeros, degree=0)
+    assert residue_independence_check(s, trials=True).assignments_tested == 1
 
 
 def brute_histogram(s, a, lo, hi):
@@ -560,7 +506,7 @@ def test_a_modulus_packed_longer_than_a_chunk_takes_memory_of_a_chunk(monkeypatc
     import tracemalloc
 
     # 1000003 packs to 1000003 bytes, from 8 MB of bools; a chunk of 4096
-    # integers takes 520 bytes a plane, and the 489 chunk bounds about 60 KB
+    # integers takes 520 bytes a plane, and the 489 chunks are walked, not listed
     monkeypatch.setattr(oracle, "CHUNK_SIZE", 1 << 12)
     s = system([2, 1000003])
     assert sieve_histogram(system([2, 3]), [0, 0]) == (2, 3, 1)  # imports numpy first
@@ -570,4 +516,4 @@ def test_a_modulus_packed_longer_than_a_chunk_takes_memory_of_a_chunk(monkeypatc
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 18
+    assert peak < 1 << 15

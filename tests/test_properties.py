@@ -126,19 +126,16 @@ SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 
     moduli=st.sampled_from(SIEVE_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=5, max_size=5),
     chunk_size=st.integers(1, 300),
-    threads=st.sampled_from((1, 2, 4)),
 )
-@example(moduli=(2, 3, 5, 7, 11), residues=[1, 2, 3, 4, 5], chunk_size=1, threads=4)
-@example(moduli=(2, 3, 5), residues=[0] * 5, chunk_size=300, threads=4)  # one chunk
-@example(moduli=(2, 3), residues=[1] * 5, chunk_size=6, threads=2)  # one chunk, exactly
-def test_sieve_ignores_chunk_size_and_threads(moduli, residues, chunk_size, threads):
+@example(moduli=(2, 3, 5, 7, 11), residues=[1, 2, 3, 4, 5], chunk_size=1)
+@example(moduli=(2, 3, 5), residues=[0] * 5, chunk_size=300)  # one chunk
+@example(moduli=(2, 3), residues=[1] * 5, chunk_size=6)  # one chunk, exactly
+def test_sieve_ignores_chunk_size(moduli, residues, chunk_size):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
-    whole_window = sieve_histogram(s, a, threads=1)
-    # four usable CPUs, so the pool runs on a one-CPU host too
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
-            mock.patch.object(oracle, "_usable_cpus", lambda: 4):
-        assert sieve_histogram(s, a, threads=threads) == whole_window
+    whole_window = sieve_histogram(s, a)
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+        assert sieve_histogram(s, a) == whole_window
     assert whole_window == exact_coverage_histogram(s)
 
 
@@ -162,7 +159,7 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
     with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
-        assert sieve_histogram(s, a, threads=1) == exact_coverage_histogram(s)
+        assert sieve_histogram(s, a) == exact_coverage_histogram(s)
 
 
 @settings(PROPERTY, max_examples=40)
@@ -170,20 +167,15 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size):
     moduli=st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
     chunk_size=st.integers(1, 1000),
-    threads=st.sampled_from((1, 2)),
     degree=st.integers(0, 6),
 )
-@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000, threads=2,
-         degree=1)
-def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, threads, degree):
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000, degree=1)
+def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, degree):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
     degree %= s.k + 1
-    # two usable CPUs, so threads=2 runs a pool on a one-CPU host too
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size), \
-            mock.patch.object(oracle, "_usable_cpus", lambda: 2):
-        assert sieve_histogram(s, a, threads=threads, degree=degree) == \
-            exact_coverage_histogram(s)[: degree + 1]
+    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+        assert sieve_histogram(s, a, degree=degree) == exact_coverage_histogram(s)[: degree + 1]
 
 
 @settings(PROPERTY, max_examples=150)
