@@ -95,6 +95,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         raise ValidationError(message)
 
+    def _check_value(self, action: argparse.Action, value) -> None:
+        # choices quoted on every Python, as 3.10 to 3.13.0 print them; 3.13.13 prints them bare
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
 
 def _subcommand(sub, name: str, run, help: str, moduli: bool = True) -> argparse.ArgumentParser:
     """The subparser of one command, its runner, and the flags commands share."""

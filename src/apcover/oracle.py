@@ -18,13 +18,16 @@ add, so any partition of the window gives identical results. A one-chunk window
 of at most ``COUNTER_WINDOW`` integers is binned from ``_fill``'s counters
 instead.
 
-An exhaustive check needs no numpy. Its tail is the two largest moduli (the
-largest when k <= 2), its head the others. Per head assignment ``_fill`` fills
-a counter byte per integer, and the integers covered 0 and 1 times are counted
-per class mod the tail moduli. Along each tail axis, residue r then turns its
-class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and h_1 becomes
-T_1 - h_1 + h_0, T_j the sum of h_j over the axis. Every count is read off a
-fill, a modulus is sieved when k >= 2, and nothing assumes the identities.
+An exhaustive check needs no numpy. Its tail is the largest modulus, then the
+next largest, if coprime to the tail, while the rest (the head) keep two moduli
+or more and multiply to at least ``FOLD_ROWS``. Per head assignment ``_fill``
+fills a counter byte per integer, and the integers covered 0 and 1 times are
+counted per class mod the tail's product q. Along each tail modulus p, residue
+r then turns its class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and
+h_1 becomes T_1 - h_1 + h_0, T_j the sum of h_j over the classes that agree mod
+q / p. Two ``list.count`` calls check a block of assignments, and no table of
+the window is built. Every count is read off a fill, a modulus is sieved when
+k >= 2, and nothing assumes the identities.
 
 numpy is imported on the first sieve call. The sieve, the counts read from it
 and the independence check take the same keyword ``product_limit``, the largest
@@ -57,16 +60,18 @@ DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
 # sieves them in about 1 s (~10 G/s), one of many windows below 10**5, each
 # charged max(product, SIEVE_CALL_INTEGERS), in 6-12 s, and the worst exhaustive
-# one, near 10**5 (2, 3, 5, 7, 11, 43), in 0.3-0.4 s.
+# one measured near 10**5, (313, 317), in 0.1-0.2 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
 # 2-CPU host a random check takes 10-20 us a trial at product 6, as long as
 # 0.1-0.2 M integers of a large window take; the charge is kept as it was when
 # such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
-# Exhaustive blocks of fewer rows than this, and than columns, fold them. On a
-# 2-CPU host folds took 0.14-0.67x the time of column counts from 2 to 42 rows,
-# 0.8-1.06x from 66 to 110, and 1.28-1.6x from 154 on.
+# Exhaustive blocks of fewer rows than this, and than columns, fold them, and an
+# exhaustive tail grows, while coprime and a head modulus is left, until its
+# blocks have fewer rows than this; a fold's sums must stay below 256. On a
+# 2-CPU host, with 143 and 1001 columns, folds took 0.08-0.74x the time of
+# column counts from 2 to 127 rows, and 0.55-1.08x from 154 to 255.
 FOLD_ROWS = 128
 _INC = bytes(range(1, 256)) + b"\0"  # translate tables: each byte plus one,
 _FLAGS = (b"\1" + bytes(255), b"\0\1" + bytes(254))  # and flags of bytes 0 and 1
@@ -284,45 +289,31 @@ def _column_counts(buf: bytearray, q: int) -> list[list[int]]:
     return sums
 
 
-def _exhaustive_histograms(system: ModulusSystem) -> Iterator[tuple[tuple, tuple[int, int]]]:
-    """(residues, (free, once)) for every assignment, in ``itertools.product`` order,
-    read from window-sized tables that each block fills."""
-    from array import array
-
+def _exhaustive_histograms(system: ModulusSystem) -> Iterator[tuple[Iterator[tuple], list, list]]:
+    """For each block, the assignments that share the head residues: those
+    assignments (lazily), then their free counts and their once-covered counts."""
     moduli, size = system.moduli, system.product
     by_size = sorted(range(system.k), key=moduli.__getitem__)
-    split = -2 if system.k >= 3 else -1
-    head, tail = by_size[:split], by_size[split:]  # the largest last: few grid rows
-    head_moduli, shape = tuple(moduli[i] for i in head), [moduli[i] for i in tail]
-    q, period = math.prod(shape), math.lcm(*shape)
-    strides = [math.prod(moduli[i + 1 :]) for i in range(system.k)]  # in the tables
-    # grid cells: tail residues, raveled; column u of the period, the integers
-    # u + 1 + period * N, is the one in the cell of u + 1's residues
-    cells, axes = [0] * period, []
-    for d, p in enumerate(shape):
-        g = q // math.prod(shape[: d + 1])  # the axis's stride in the grid
-        cells = [c + (u + 1) % p * g for u, c in enumerate(cells)]
-        # its lines, and the line of each cell
-        lines = [slice(o + i, o + i + p * g, g) for o in range(0, q, p * g) for i in range(g)]
-        axes.append((lines, [c // (p * g) * g + c % g for c in range(q)]))
-    source = [-1] * q  # each cell's column, or -1 for a 0 appended to the counts
-    for u, c in enumerate(cells):
-        source[c] = u
-    last, step = shape[-1], strides[tail[-1]]  # grid row a is at a * strides[tail[0]]
-    free, once = array("q", [0]) * size, array("q", [0]) * size
+    split, q = system.k - 1, moduli[by_size[-1]]  # the tail: by_size[split:], product q
+    # k >= 2 keeps a head modulus, so that a block's lists hold at most half the window
+    while split > 1 and size // q >= FOLD_ROWS and math.gcd(moduli[by_size[split - 1]], q) == 1:
+        split -= 1
+        q *= moduli[by_size[split]]
+    head_moduli = tuple(moduli[i] for i in by_size[:split])
+    tail = [moduli[i] for i in by_size[split:]]
+    where = sorted(range(system.k), key=by_size.__getitem__)  # each modulus's place in by_size
     for residues in itertools.product(*map(range, head_moduli)):
-        h0, h1 = ([*map([*counts, 0].__getitem__, source)] for counts in
-                  _column_counts(_fill(1, size + 1, head_moduli, residues), period))
-        for lines, line_of in axes:  # residue r covers class r: its 0s become 1s, its 1s 2s
-            t0, t1 = ([*map(sum, map(h.__getitem__, lines))] for h in (h0, h1))
-            h0, h1 = ([*map(sub, map(t0.__getitem__, line_of), h0)],
-                      [*map(add, map(sub, map(t1.__getitem__, line_of), h1), h0)])
-        base = sum(r * strides[i] for r, i in zip(residues, head))
-        for a, cell in enumerate(range(0, q, last)):
-            at = base + a * strides[tail[0]]
-            at = slice(at, at + last * step, step)
-            free[at], once[at] = (array("q", h[cell : cell + last]) for h in (h0, h1))
-    yield from zip(itertools.product(*map(range, moduli)), zip(free, once))
+        # column u counts the integers u + 1 + q * N; by the CRT the columns u % m + m * j,
+        # m = q // p, share their other tail residues and take each residue mod p once
+        h0, h1 = _column_counts(_fill(1, size + 1, head_moduli, residues), q)
+        for p in tail:  # residue r covers class r: its 0s become 1s, its 1s 2s
+            m = q // p  # line totals: m strided sums of p, or, if p <= m, p slabs of m added
+            t0, t1 = ([sum(h[i::m]) for i in range(m)] if p > m else
+                      [*map(sum, zip(*[h[j : j + m] for j in range(0, q, m)]))] for h in (h0, h1))
+            h0, h1 = [*map(sub, t0 * p, h0)], [*map(add, map(sub, t1 * p, h1), h0)]
+        # column u now counts the assignment giving each tail modulus p residue u + 1 mod p
+        tails = ([(u + 1) % p for p in tail] for u in range(q))
+        yield (tuple(map([*residues, *t].__getitem__, where)) for t in tails), h0, h1
 
 
 def residue_independence_check(
@@ -351,8 +342,8 @@ def residue_independence_check(
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials
-        observed = ((residues, sieve_histogram(system, residues, product_limit=product_limit,
-                                               degree=1))
+        observed = (((residues,), *zip(sieve_histogram(system, residues, degree=1,
+                                                       product_limit=product_limit)))
                     for residues in _random_assignments(system, trials, seed))
     _check_product(system, product_limit)
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)
@@ -361,17 +352,18 @@ def residue_independence_check(
             f"{sieved} integers to sieve exceed the {mode} budget {SIEVE_BUDGET}"
         )
 
-    # a CoverageCounts only for the mismatches kept
+    # blocks of assignments, their free and their once counts (one each in random
+    # mode) are tested by two counts; a CoverageCounts only for the mismatches kept
     want = (expected.free, expected.available - expected.free)
-    tested = 0
-    mismatches: list[tuple[tuple[int, ...], CoverageCounts]] = []
-    for residues, hist in observed:
-        tested += 1
-        if hist != want and len(mismatches) < 5:
-            mismatches.append((residues, _counts(system, *hist)))
+    tested, kept = 0, []  # (residues, free, once): the first five in trial or product order
+    for block, free, once in observed:
+        tested += len(free)
+        if not free.count(want[0]) == once.count(want[1]) == len(free):
+            found = itertools.chain(kept, (m for m in zip(block, free, once) if m[1:] != want))
+            kept = sorted(found)[:5] if exhaustive else [*itertools.islice(found, 5)]
     return IndependenceReport(
         assignments_tested=tested,
-        all_match=not mismatches,
+        all_match=not kept,
         expected=expected,
-        mismatches=tuple(mismatches),
+        mismatches=tuple((residues, _counts(system, *hist)) for residues, *hist in kept),
     )

@@ -800,6 +800,17 @@ def test_long_modulus_token_is_refused_in_one_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, choices", [
+    (("det", "--primes", "2,3", "--which", "both"), "--which: invalid choice: 'both' (choose from"
+     " 'available', 'free')"),
+    (("frobnicate",), "command: invalid choice: 'frobnicate' (choose from 'count', 'det',"
+     " 'verify', 'oeis', 'bench')"),
+])
+def test_bad_choice_refusal_quotes_the_choices_on_every_python(capsys, argv, choices):
+    # argparse itself stopped quoting them in later releases (3.13.13, not 3.13.0)
+    assert run(capsys, *argv) == (2, "", f"error: argument {choices}\n")
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -354,15 +355,62 @@ def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypat
                 assert [free, once] == brute_histogram(s, residues, 1, s.product + 1)[:2]
 
 
+def exhaustive_table(s):
+    """(residues, (free, once)) of every assignment the exhaustive blocks count,
+    in ``itertools.product`` order."""
+    blocks = oracle._exhaustive_histograms(s)
+    return sorted((residues, (free, once)) for block, frees, onces in blocks
+                  for residues, free, once in zip(block, frees, onces, strict=True))
+
+
+@pytest.mark.parametrize("moduli, want", [((6, 4, 9), (126, 66)), ((3, 4, 8), (40, 44))])
+def test_exhaustive_mismatches_in_several_blocks_are_the_first_five_of_a_cold_enumeration(
+        moduli, want, monkeypatch):
+    # moduli that share factors, checked against the counts of one of their
+    # assignments: the others mismatch or not, in blocks of the head residues,
+    # the first two; the first five mismatches fall in two blocks or more, and a
+    # block checked later holds some of them, (0, 1, 0) of (6, 4, 9) among them
+    s = unvalidated(moduli)
+    free, once = want
+    expected = CoverageCounts(available=free + once, free=free,
+                              occupied=s.product - free - once, product=s.product)
+    monkeypatch.setattr(oracle, "coverage_counts", lambda _: expected)
+    cold = ((residues, tuple(oracle._chunk_histogram(1, s.product + 1, moduli, residues, 1)))
+            for residues in itertools.product(*map(range, moduli)))
+    first_five = list(itertools.islice(((r, h) for r, h in cold if h != want), 5))
+    assert len({residues[:2] for residues, _ in first_five}) > 1
+    report = residue_independence_check(s, exhaustive=True)
+    assert not report.all_match and report.assignments_tested == s.product
+    assert report.mismatches == tuple((residues, oracle._counts(s, *hist))
+                                      for residues, hist in first_five)
+
+
+@pytest.mark.parametrize("moduli, limit", [
+    ((2, 3, 5, 7, 11, 13), 1 << 19),  # tables of 30030 8-byte counts would take 480 KB
+    ((49999, 2), 12 * 10**6),
+    ((313, 317), 1 << 19),  # with 313 in the tail, 99221 counts a block
+])
+def test_exhaustive_check_holds_no_window_sized_tables(moduli, limit):
+    s = system(moduli)
+    residue_independence_check(s, exhaustive=True)  # so that nothing is first allocated below
+    tracemalloc.start()
+    try:
+        assert residue_independence_check(s, exhaustive=True).all_match
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 def assert_blocks_equal_cold_sieves(s, every=1):
-    """Every (residues, (free, once)) of the exhaustive blocks is in enumeration
-    order, and every ``every``-th one and the last equal a fresh sieve of that
+    """The exhaustive blocks count every assignment once, and every ``every``-th
+    one in enumeration order and the last equal a fresh sieve of that
     assignment; returns the histograms."""
-    blocks = list(oracle._exhaustive_histograms(s))
-    assert [residues for residues, _ in blocks] == list(itertools.product(*map(range, s.moduli)))
-    for residues, hist in blocks[::every] + blocks[-1:]:
+    table = exhaustive_table(s)
+    assert [residues for residues, _ in table] == list(itertools.product(*map(range, s.moduli)))
+    for residues, hist in table[::every] + table[-1:]:
         assert hist == tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1))
-    return {hist for _, hist in blocks}
+    return {hist for _, hist in table}
 
 
 @pytest.mark.parametrize("moduli", EVERY_ORDER, ids=listed)
@@ -376,23 +424,28 @@ def test_block_histograms_equal_cold_sieves_in_every_order(moduli):
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (3, 5, 7, 2), (2, 5, 7, 3), (2, 3, 5, 13),
                                     (4, 9, 5), (2,), (3,), (7,), (2, 3), (3, 7),
-                                    (7, 2, 3), (2, 3, 5), (257, 2)])
+                                    (7, 2, 3), (2, 3, 5), (257, 2), (2, 3, 5, 7, 11),
+                                    (4, 9, 5, 7, 11), (131, 137)])
 def test_block_histograms_equal_cold_ones(moduli):
     # last moduli 7, 2, 3 and 13, coprime composites, k = 1 (an empty head),
-    # k = 2 (one tail modulus), k = 3 (a one-modulus head), and 257 rows of 2
-    # columns, whose sums are folded past the bytes
+    # k = 2 (one tail modulus), k = 3 (a one-modulus head), blocks of 2 rows of
+    # 257 columns, tails of 7 * 11 and of 7 * 9 * 11, and 131 * 137, whose head
+    # 131 stays though it does not fold: every 997th of its 17947 assignments
+    # is sieved cold
     s = system(moduli, coprime=True)
-    assert assert_blocks_equal_cold_sieves(s) == {exact_coverage_histogram(s)[:2]}
+    histograms = assert_blocks_equal_cold_sieves(s, every=997 if s.product > 10**4 else 1)
+    assert histograms == {exact_coverage_histogram(s)[:2]}
 
 
-@pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2), (3, 4, 8), (6, 4, 9)])
+@pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2), (3, 4, 8), (6, 4, 9),
+                                    (4, 6, 6, 8, 9)])
 def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
     # moduli that share a factor, so the histogram of the window depends on the
     # residues: a block that assumed the identity under test, or read another
     # residue's class, would differ from a cold sieve here (the system skips
-    # validation on purpose); the tail moduli of (3, 4, 8) share a factor, so some
-    # grid cells hold no integer and others several, and the head of (6, 4, 9)
-    # shares one with each tail modulus
+    # validation on purpose); the heads of (3, 4, 8) and (6, 4, 9) share a factor
+    # with the tail, and (4, 6, 6, 8, 9) keeps 6 out of its tail 8 * 9, with which
+    # it shares one, though the head (4, 6, 6) does not fold
     s = ModulusSystem(moduli=moduli, product=math.prod(moduli))
     assert len(assert_blocks_equal_cold_sieves(s)) > 1
 
@@ -417,22 +470,34 @@ def test_column_sums_equal_numpy_sums(shape):
 
 
 @pytest.mark.parametrize("moduli, head, window", [
-    ((2, 3, 5, 7, 11, 13), (2, 3, 5, 7), 30030),  # blocks of 11 * 13 assignments
+    ((2, 3, 5, 7, 11, 13), (2, 3, 5), 30030),  # blocks of 7 * 11 * 13 assignments
     ((7, 3), (3,), 21),  # k = 2: blocks of the larger modulus alone
+    ((131, 137), (131,), 17947),  # k = 2: 131 stays in the head though it does not fold
 ])
 def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, monkeypatch):
-    # 210 calls for the first 6 primes, 3 for (7, 3), each over the whole window
+    # 30 calls for the first 6 primes, 3 for (7, 3), each over the whole window
     report, calls = exhaustive_fills(system(moduli), monkeypatch)
     assert report.all_match
     assert calls == [(1, window + 1, head, residues)
                      for residues in itertools.product(*map(range, head))]
 
 
-@pytest.mark.parametrize("moduli", EVERY_ORDER, ids=listed)
+# each system's head: the largest moduli, while pairwise coprime, form the tail
+# until the product of the rest, the rows of a block, is below FOLD_ROWS (128)
+# or one modulus is left
+HEADS = {(2, 3, 5, 7): (2, 3, 5), (2, 3, 7): (2, 3), (3, 7): (3,), (2, 49999): (2,),
+         (3, 4, 8): (3, 4), (4, 6, 9): (4, 6), (2, 3, 5, 7, 11, 13): (2, 3, 5),
+         (4, 6, 6, 8, 9): (4, 6, 6)}  # 6 shares a factor with the tail 8 * 9
+
+
+@pytest.mark.parametrize("moduli", [
+    *EVERY_ORDER,
+    *itertools.islice(itertools.permutations((2, 3, 5, 7, 11, 13)), 0, None, 37),
+    *itertools.islice(dict.fromkeys(itertools.permutations((4, 6, 6, 8, 9))), 0, None, 7),
+], ids=listed)
 def test_exhaustive_check_fills_the_same_head_in_every_order(moduli, monkeypatch):
-    # the head is every modulus but the two largest (the largest when k = 2), in
-    # increasing order, wherever the tail moduli are listed
-    head = tuple(sorted(moduli))[: -2 if len(moduli) >= 3 else -1]
+    # the head's moduli in increasing order, wherever the tail moduli are listed
+    head = HEADS[tuple(sorted(moduli))]
     report, calls = exhaustive_fills(unvalidated(moduli), monkeypatch)
     assert report.assignments_tested == math.prod(moduli)
     assert calls == [(1, math.prod(moduli) + 1, head, residues)
