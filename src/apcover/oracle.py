@@ -14,9 +14,7 @@ form a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
 1982). It and each other modulus's progression are packed once per call and
 repeated so that every chunk, widened to 64-bit words, is one slice of them; a
 modulus packed longer than a chunk is set at its members only. Chunk histograms
-add, so any partition of the window gives identical results. A one-chunk window
-of at most ``COUNTER_WINDOW`` integers is binned from ``_fill``'s counters
-instead.
+add, so any partition of the window gives identical results.
 
 An exhaustive check needs no numpy. Its tail is the largest modulus, then the
 next largest, if coprime to the tail, while the rest (the head) keep two moduli
@@ -51,20 +49,15 @@ from .errors import ResourceLimitError, ValidationError
 # fast at 2**20 as at 2**21 or 2**22, with the least peak RSS; 2**18 took over
 # twice as long (numpy calls of a few us).
 CHUNK_SIZE = 1 << 20
-# One-chunk windows of at most this many integers are binned from _fill's
-# counters. On a 2-CPU host, at degree 1, counters took 10-50 us to the planes'
-# 43-119 us up to product 30030, and 378-588 to 587-755 us from 510510 to
-# 746130; at 881790 they were within 7%, and from 10**6 the planes won by 23-33%.
-COUNTER_WINDOW = 800_000
 DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
 # sieves them in about 1 s (~10 G/s), one of many windows below 10**5, each
-# charged max(product, SIEVE_CALL_INTEGERS), in 6-12 s, and the worst exhaustive
-# one measured near 10**5, (313, 317), in 0.1-0.2 s.
+# charged max(product, SIEVE_CALL_INTEGERS), in 9-41 s (18-26 s at product 6,
+# 31-41 s at 2310), and the worst exhaustive one near 10**5, (313, 317), in 0.1-0.2 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
-# 2-CPU host a random check takes 10-20 us a trial at product 6, as long as
-# 0.1-0.2 M integers of a large window take; the charge is kept as it was when
+# 2-CPU host a random check takes 30-35 us a trial at product 6, as long as
+# 0.3-0.4 M integers of a large window take; the charge is kept as it was when
 # such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
 # Exhaustive blocks of fewer rows than this, and than columns, fold them, and an
@@ -123,25 +116,6 @@ def _tile(buf: bytearray, n: int) -> bytearray:
     return buf * (n // len(buf)) + buf[: n % len(buf)]
 
 
-def _bin(buf: bytearray, degree: int) -> list[int]:
-    """Entries 0..degree of the histogram of the counters ``buf``."""
-    import numpy as np
-
-    counts = np.frombuffer(buf, dtype=np.uint8)
-    covered = [int(np.count_nonzero(counts == j)) for j in range(1, degree + 1)]
-    return [len(buf) - int(np.count_nonzero(counts)), *covered]
-
-
-def _packed(p: int, r: int):
-    """The integers n = r (mod p) of one packed period, lcm(p, 8) integers, as
-    set bits eight per byte: bit i of byte b stands for the integer 8b + i + 1."""
-    import numpy as np
-
-    bits = np.zeros(8 * _packed_period(p), dtype=bool)
-    bits[(r - 1) % p :: p] = True
-    return np.packbits(bits, bitorder="little")
-
-
 def _repeat(pattern, length: int):
     """``pattern`` repeated along its last axis and cut to ``length`` (np.tile's
     copy, without the ~3 us of its Python wrapper)."""
@@ -153,6 +127,23 @@ def _packed_period(period: int) -> int:
     """Bytes in lcm(period, 8) integers: the period of a ``period``-periodic pattern
     packed eight integers per byte."""
     return period // math.gcd(period, 8)
+
+
+def _planes(pairs: list[tuple[int, int]], degree: int):
+    """Thermometer planes of the progressions n = r (mod p), (p, r) in ``pairs``,
+    over one packed period of their product: row j - 1 holds the integers covered
+    at least j times, eight per byte, bit i of byte b standing for 8b + i + 1."""
+    import numpy as np
+
+    period = _packed_period(math.prod(p for p, _ in pairs))
+    counts = np.frombuffer(_fill(1, 8 * period + 1, [p for p, _ in pairs],
+                                 [r for _, r in pairs]), dtype=np.uint8)
+    # one plane's bools at a time: all rows at once took the 510510 window from
+    # 251 to 357 us a call on a 2-CPU host, most of it in pages faulted afresh
+    planes = np.empty((degree + 1, period), dtype=np.uint8)
+    for j, plane in enumerate(planes):
+        plane[:] = np.packbits(counts > j, bitorder="little")
+    return planes
 
 
 def _add(planes, mask, tmp=None) -> None:
@@ -182,18 +173,14 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
         period *= p
         wheel += 1
     wheel_bytes = _packed_period(period)
-    counts = np.frombuffer(_fill(1, 8 * wheel_bytes + 1, [p for p, _ in pairs[:wheel]],
-                                 [r for _, r in pairs[:wheel]]), dtype=np.uint8)
-    planes = np.packbits(counts > np.arange(degree + 1)[:, None], axis=1, bitorder="little")
-    wheel_planes = _repeat(planes, wheel_bytes + nbytes)  # any chunk is one slice
-    del counts, planes  # so that the chunk's buffers can reuse their memory
+    wheel_planes = _repeat(_planes(pairs[:wheel], degree), wheel_bytes + nbytes)
     dense, sparse = [], []
     for p, r in pairs[wheel:]:
         packed_bytes = _packed_period(p)
         if packed_bytes > nbytes:
             sparse.append((p, r))
         else:
-            dense.append((_repeat(_packed(p, r), packed_bytes + nbytes), packed_bytes))
+            dense.append((_repeat(_planes([(p, r)], 0)[0], packed_bytes + nbytes), packed_bytes))
 
     buf = np.empty((degree + 1, nbytes), dtype=np.uint8)
     tmp = np.empty((degree, nbytes), dtype=np.uint8)
@@ -240,8 +227,6 @@ def sieve_histogram(
     degree = system.k if degree is None else _integer(degree, "degree")
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
-    if system.product <= min(CHUNK_SIZE, COUNTER_WINDOW):
-        return tuple(_bin(_fill(1, system.product + 1, system.moduli, residues), degree))
     return tuple(_chunk_histogram(1, system.product + 1, system.moduli, residues, degree))
 
 

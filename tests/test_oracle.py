@@ -83,9 +83,9 @@ def test_chunked_execution_invariance(chunk_size, monkeypatch):
 
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (11, 2, 7, 3, 5), (4, 9, 25, 7), (211, 223),
-                                    (8, 9, 25), (2, 3, 1009)])
-def test_one_chunk_windows_up_to_the_counter_window_are_binned_from_counters(moduli, monkeypatch):
-    # there the planes' packing costs more than it saves; both kernels agree at every degree
+                                    (8, 9, 25), (2, 3, 1009), (2, 3, 5, 7, 11, 13, 23)])
+def test_every_window_is_sieved_by_the_planes(moduli, monkeypatch):
+    # one kernel whatever the window: one call over all of it, in one chunk or more
     windows = []
     real_chunk_histogram = oracle._chunk_histogram
 
@@ -97,15 +97,12 @@ def test_one_chunk_windows_up_to_the_counter_window_are_binned_from_counters(mod
     s = system(moduli, coprime=True)
     a = assign_residues(s, [(3 * i + 1) % p for i, p in enumerate(moduli)])
     full = exact_coverage_histogram(s)
-    for counter_window, chunk_size, planes in [(s.product, s.product, False),
-                                               (s.product - 1, s.product, True),
-                                               (s.product, s.product - 1, True)]:
-        monkeypatch.setattr(oracle, "COUNTER_WINDOW", counter_window)
+    for chunk_size in (oracle.CHUNK_SIZE, s.product - 1):
         monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
         windows.clear()
         for degree in range(s.k + 1):
             assert sieve_histogram(s, a, degree=degree) == full[: degree + 1]
-        assert windows == [(1, s.product + 1)] * (s.k + 1 if planes else 0)
+        assert windows == [(1, s.product + 1)] * (s.k + 1)
 
 
 def test_product_limit_refusal():
@@ -229,7 +226,7 @@ def test_sieve_config_validation():
     for trials in (2.5, 2.0, "2"):
         with pytest.raises(ValidationError, match=f"trials {trials!r} is not an integer"):
             residue_independence_check(s, trials=trials)
-    # a bool is an int, read as 0 or 1, on a counter window and on the planes alike
+    # a bool is an int, read as 0 or 1, on one chunk and on several alike
     for moduli in ([2, 3, 5], [2, 3, 5, 7, 11, 13, 17, 19]):
         t = system(moduli)
         zeros = (0,) * t.k
@@ -582,3 +579,19 @@ def test_a_modulus_packed_longer_than_a_chunk_takes_memory_of_a_chunk(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 1 << 15
+
+
+def test_a_one_chunk_window_takes_planes_not_counter_bytes():
+    # two 64 KB planes of 510510 integers, sliced from the wheel 2 .. 13 packed
+    # over 15015 bytes and 17 over 17: no 510510 one-byte counters
+    s = system([2, 3, 5, 7, 11, 13, 17])
+    expected = coverage_counts(s)
+    assert sieve_histogram(system([2, 3]), [0, 0]) == (2, 3, 1)  # imports numpy first
+    tracemalloc.start()
+    try:
+        histogram = sieve_histogram(s, [1, 2, 3, 4, 5, 6, 7], degree=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert histogram == (expected.free, expected.available - expected.free)
+    assert peak < 1 << 19

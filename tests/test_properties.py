@@ -190,8 +190,8 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, d
 @example(moduli=[2, 1000003], residues=[1, 5] + [0] * 6, lo=999_997, length=4099, degree=2)
 @example(moduli=[8, 9, 25, 4], residues=[3, 1, 7, 2] + [0] * 4, lo=13, length=803, degree=4)
 def test_planes_equal_the_fill_counters_binned(moduli, residues, lo, length, degree):
-    # the two kernels on any slice of any moduli, shared factors and repeats
-    # included: wheel, dense and member-by-member moduli, and unaligned edges
+    # the planes on any slice of any moduli, shared factors and repeats included:
+    # wheel, dense and member-by-member moduli, and unaligned edges
     import numpy as np
 
     a = tuple(residues[: len(moduli)])
@@ -199,7 +199,6 @@ def test_planes_equal_the_fill_counters_binned(moduli, residues, lo, length, deg
     counters = oracle._fill(lo, lo + length, tuple(moduli), a)
     binned = np.bincount(counters, minlength=len(moduli) + 1)[: degree + 1].tolist()
     assert oracle._chunk_histogram(lo, lo + length, tuple(moduli), a, degree) == binned
-    assert oracle._bin(counters, degree) == binned
 
 
 # Runs of 3 to 6 calls that share every residue but the last and step the
