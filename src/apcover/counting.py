@@ -23,14 +23,12 @@ MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
 
 def coverage_counts(system: ModulusSystem) -> CoverageCounts:
     """Exact free/available/occupied counts, independent of any assignment."""
-    free, once = coverage_polynomial(system.moduli, 1)
-    available = free + once
-    return CoverageCounts(
-        available=available,
-        free=free,
-        occupied=system.product - available,
-        product=system.product,
-    )
+    return _counts(system, *coverage_polynomial(system.moduli, 1))
+
+
+def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
+    """The counts of a window holding ``free`` integers in no class, ``once`` in one."""
+    return CoverageCounts(free + once, free, system.product - free - once, system.product)
 
 
 def occ_recurrence(system: ModulusSystem) -> int:

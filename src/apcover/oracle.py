@@ -42,7 +42,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CoverageCounts, ModulusSystem, _integers, assign_residues
-from .counting import coverage_counts
+from .counting import _counts, coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
 # Integers per chunk. On a 2-CPU host the first 9 primes sieved at degree 1 as
@@ -85,14 +85,11 @@ def _integer(value: int, what: str) -> int:
     return value
 
 
-def _check_options(product_limit: int) -> int:
+def _check_window(system: ModulusSystem, product_limit: int) -> None:
+    """Refuse a ``product_limit`` below 1, then a window [1, product] over it."""
     product_limit = _integer(product_limit, "product_limit")
     if product_limit < 1:
         raise ValidationError("product_limit must be >= 1")
-    return product_limit
-
-
-def _check_product(system: ModulusSystem, product_limit: int) -> None:
     if system.product > product_limit:
         raise ResourceLimitError(f"product {system.product} exceeds sieve limit {product_limit}")
 
@@ -222,7 +219,7 @@ def sieve_histogram(
 ) -> tuple[int, ...]:
     """Entry j, for j = 0..degree (default k), counts the integers in
     [1, product] covered exactly j times, by direct enumeration."""
-    _check_product(system, _check_options(product_limit))
+    _check_window(system, product_limit)
     residues = assign_residues(system, residues)
     degree = system.k if degree is None else _integer(degree, "degree")
     if not 0 <= degree <= system.k:
@@ -243,10 +240,6 @@ def oracle_counts(
     """
     histogram = sieve_histogram(system, residues, product_limit=product_limit, degree=1)
     return _counts(system, *histogram)
-
-
-def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
-    return CoverageCounts(free + once, free, system.product - free - once, system.product)
 
 
 def _random_assignments(system: ModulusSystem, trials: int, seed: int) -> Iterator[tuple]:
@@ -313,30 +306,29 @@ def residue_independence_check(
 
     Random mode draws ``trials`` assignments from a generator seeded with
     ``seed`` (each residue uniform in [0, p)), so reports are reproducible;
-    exhaustive mode enumerates all ``product`` of them. A check is refused,
-    before any sieving, when its window exceeds the product limit or when
-    assignments x max(product, ``SIEVE_CALL_INTEGERS``) exceeds ``SIEVE_BUDGET``.
+    exhaustive mode enumerates all ``product`` of them. Before any count, a check
+    refuses ``trials`` below 1 (random mode only), then its limit and window, then
+    assignments x max(product, ``SIEVE_CALL_INTEGERS``) over ``SIEVE_BUDGET``.
     """
-    product_limit = _check_options(product_limit)
-    expected = coverage_counts(system)
     if exhaustive:
         mode, assignments = "exhaustive", system.product
-        observed = _exhaustive_histograms(system)
     else:
         trials = _integer(trials, "trials")
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials
-        observed = (((residues,), *zip(sieve_histogram(system, residues, degree=1,
-                                                       product_limit=product_limit)))
-                    for residues in _random_assignments(system, trials, seed))
-    _check_product(system, product_limit)
+    _check_window(system, product_limit)
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)
     if sieved > SIEVE_BUDGET:
         raise ResourceLimitError(
             f"{sieved} integers to sieve exceed the {mode} budget {SIEVE_BUDGET}"
         )
 
+    expected = coverage_counts(system)
+    observed = _exhaustive_histograms(system) if exhaustive else (
+        ((residues,), *zip(sieve_histogram(system, residues, degree=1,
+                                           product_limit=product_limit)))
+        for residues in _random_assignments(system, trials, seed))
     # blocks of assignments, their free and their once counts (one each in random
     # mode) are tested by two counts; a CoverageCounts only for the mismatches kept
     want = (expected.free, expected.available - expected.free)

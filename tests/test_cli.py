@@ -251,6 +251,9 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("verify", "--primes", "2,3", "--trials", "0"), 2, "trials must be >= 1"),
         (("verify", "--primes", "2,3", "--threads", "-1"), 2, "threads must be >= 0"),
         (("verify", "--primes", "2,3", "--limit", "0"), 2, "product_limit must be >= 1"),
+        # the check refuses its trials before its limit
+        (("verify", "--primes", "2,3", "--trials", "0", "--limit", "0"), 2,
+         "error: trials must be >= 1\n"),
         # verify refuses its own --threads before the library reads --limit
         (("verify", "--primes", "2,3", "--limit", "0", "--threads", "-1"), 2,
          "error: threads must be >= 0\n"),
@@ -278,7 +281,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         # each sieve call is charged at least SIEVE_CALL_INTEGERS = 16384 integers
         (("verify", "--primes", "2,3", "--trials", "1000000000"), 3,
          "16384000000000 integers to sieve exceed the random budget 10000000000"),
-        # 2.4 million calls of 18-21 us each would run 43-50 s; the limit is ~610000 trials
+        # 2.4 million trials of 30-35 us each (product 6, 2-CPU host) would run 73-83 s;
+        # the limit is ~610000 trials
         (("verify", "--primes", "2,3", "--trials", "2400000"), 3,
          "39321600000 integers to sieve exceed the random budget 10000000000"),
         (("det", "--first-k", "30000", "--which", "available", "--method", "bareiss"), 3,
@@ -286,6 +290,7 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("det", "--first-k", "300", "--which", "free", "--method", "laplace"), 3,
          "matrix dimension 301 exceeds the limit 300"),
         (("bench", "--kmax", "1001"), 3, "--kmax 1001 exceeds the bench limit 1000"),
+        (("bench", "--kmax", "2", "--repeat", "0"), 2, "--repeat must be >= 1"),
         # NaN compares false with every time and inf exceeds none, so either would silently
         # mean "never skip"; a negative value would mean "skip after k = 1"
         (("bench", "--kmax", "2", "--timeout-ms", "nan"), 2, "--timeout-ms must be a number"),
@@ -302,13 +307,14 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
     ],
     ids=[
         "composite", "empty", "laplace-dimension-13", "trials-0", "threads-negative",
-        "limit-0", "limit-0-threads-negative", "over-limit", "exhaustive-4849845",
-        "exhaustive-510510",
+        "limit-0", "trials-0-limit-0", "limit-0-threads-negative", "over-limit",
+        "exhaustive-4849845", "exhaustive-510510",
         "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
         "random-limit-1e40", "random-limit-1e20", "exhaustive-over-limit",
         "random-call-minimum", "random-call-minimum-2400000", "bareiss-dimension-30000",
         "free-dimension-301",
-        "bench-kmax-1001", "bench-timeout-nan", "bench-timeout-negative", "bench-timeout-inf",
+        "bench-kmax-1001", "bench-repeat-0", "bench-timeout-nan", "bench-timeout-negative",
+        "bench-timeout-inf",
         "argparse-not-an-int", "argparse-no-moduli",
         "argparse-bad-choice", "argparse-unknown-command",
     ],
@@ -478,7 +484,7 @@ def test_bench_timeout_skips_later_bareiss_rows(capsys):
     assert len(lines) == 6
 
 
-def test_bench_validates_the_system_once(capsys, monkeypatch):
+def test_bench_takes_its_primes_without_validating_them(capsys, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -488,7 +494,7 @@ def test_bench_validates_the_system_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "validate_modulus_system", counted)
     code, record, _ = run_json(capsys, "bench", "--kmax", "6", "--repeat", "1")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == []
     rows = record["results"]["rows"]
     assert [r["k"] for r in rows] == ["1", "2", "3", "4", "5", "6"]
     assert all(r["agree"] is True for r in rows)

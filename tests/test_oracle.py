@@ -192,6 +192,33 @@ def test_budget_charges_each_sieve_call_at_least_its_minimum(monkeypatch):
     assert residue_independence_check(big, trials=1).assignments_tested == 1
 
 
+@pytest.mark.parametrize("moduli, options, error, message", [
+    ([2, 3], {"trials": 0}, ValidationError, "trials must be >= 1"),
+    ([2, 3], {"product_limit": 0}, ValidationError, "product_limit must be >= 1"),
+    ([2, 3, 5], {"product_limit": 10}, ResourceLimitError, "product 30 exceeds sieve limit 10"),
+    ([2, 3, 5], {"product_limit": 10, "exhaustive": True}, ResourceLimitError,
+     "product 30 exceeds sieve limit 10"),
+    ([2, 3], {"trials": 10**9}, ResourceLimitError, "exceed the random budget"),
+    ([3, 5, 7, 11, 13, 17, 19], {"exhaustive": True}, ResourceLimitError,
+     "exceed the exhaustive budget"),
+], ids=["trials-0", "limit-0", "random-window", "exhaustive-window", "random-budget",
+        "exhaustive-budget"])
+def test_a_refused_check_folds_nothing(moduli, options, error, message, monkeypatch):
+    folds = []
+
+    def counted(s):
+        folds.append(s)
+        return coverage_counts(s)
+
+    monkeypatch.setattr(oracle, "coverage_counts", counted)
+    with pytest.raises(error, match=message):
+        residue_independence_check(system(moduli), **options)
+    assert folds == []
+    # the spy sees the fold of a check that runs
+    residue_independence_check(system([2, 3]), trials=1)
+    assert len(folds) == 1
+
+
 def test_independence_matches_prediction_from_recurrences():
     s = system([2, 3, 5, 7])
     assert residue_independence_check(s, trials=5, seed=3).expected == coverage_counts(s)
