@@ -16,16 +16,16 @@ repeated so that every chunk, widened to 64-bit words, is one slice of them; a
 modulus packed longer than a chunk is set at its members only. Chunk histograms
 add, so any partition of the window gives identical results.
 
-An exhaustive check needs no numpy. Its tail is the largest modulus, then the
-next largest, if coprime to the tail, while the rest (the head) keep two moduli
-or more and multiply to at least ``FOLD_ROWS``. Per head assignment ``_fill``
-fills a counter byte per integer, and the integers covered 0 and 1 times are
-counted per class mod the tail's product q. Along each tail modulus p, residue
-r then turns its class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and
-h_1 becomes T_1 - h_1 + h_0, T_j the sum of h_j over the classes that agree mod
-q / p. Two ``list.count`` calls check a block of assignments, and no table of
-the window is built. Every count is read off a fill, a modulus is sieved when
-k >= 2, and nothing assumes the identities.
+An exhaustive check needs no numpy. Its tail takes the moduli from the largest
+down while coprime to it, leaving one or more (the head) when k >= 2. Per head
+assignment ``_fill`` fills a counter byte per integer; the integers covered 0
+and 1 times per class mod the tail's product q are counted into two ints of q
+lanes, each the narrowest of 2, 4 or 8 bytes that holds the window (SIMD within
+a register: Fisher and Dietz, LCPC 1998). Along each tail modulus p, residue r
+turns its class's 0s into 1s and 1s into 2s: h_0 becomes T_0 - h_0 and h_1
+T_1 - h_1 + h_0, T_j the sum of h_j over the classes that agree mod q / p, on
+all lanes at once. Two comparisons check a block; no table of the window is
+built, every count is read off a fill, and nothing assumes the identities.
 
 numpy is imported on the first sieve call. The sieve, the counts read from it
 and the independence check take the same keyword ``product_limit``, the largest
@@ -37,8 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from itertools import repeat
-from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CoverageCounts, ModulusSystem, _integers, assign_residues
@@ -53,21 +53,21 @@ DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
 # sieves them in about 1 s (~10 G/s), one of many windows below 10**5, each
 # charged max(product, SIEVE_CALL_INTEGERS), in 9-41 s (18-26 s at product 6,
-# 31-41 s at 2310), and the worst exhaustive one near 10**5, (313, 317), in 0.1-0.2 s.
+# 31-41 s at 2310), and the worst exhaustive one near 10**5, (313, 317), in 0.08 s.
 SIEVE_BUDGET = 10**10
 # Each assignment a check tests is charged at least this many integers. On a
 # 2-CPU host a random check takes 30-35 us a trial at product 6, as long as
 # 0.3-0.4 M integers of a large window take; the charge is kept as it was when
 # such a call cost 9500-37500 integers, so that every refusal stays the same.
 SIEVE_CALL_INTEGERS = 16384
-# Exhaustive blocks of fewer rows than this, and than columns, fold them, and an
-# exhaustive tail grows, while coprime and a head modulus is left, until its
-# blocks have fewer rows than this; a fold's sums must stay below 256. On a
-# 2-CPU host, with 143 and 1001 columns, folds took 0.08-0.74x the time of
-# column counts from 2 to 127 rows, and 0.55-1.08x from 154 to 255.
+# Exhaustive blocks of fewer rows than this, and than columns, fold them; a
+# fold's sums must stay below 256. On a 2-CPU host, on head fills of 143, 1001
+# and 15015 columns (2-byte lanes), folds took 0.05-0.85x the time of column
+# counts from 2 to 47 rows, 0.71-1.13x from 62 to 79 and 0.94-1.89x from 97 to 127.
 FOLD_ROWS = 128
 _INC = bytes(range(1, 256)) + b"\0"  # translate tables: each byte plus one,
 _FLAGS = (b"\1" + bytes(255), b"\0\1" + bytes(254))  # and flags of bytes 0 and 1
+_LANES = {2: "H", 4: "I", 8: "Q"}  # struct codes of little-endian lanes by width in bytes
 
 
 class IndependenceReport(NamedTuple):
@@ -248,50 +248,56 @@ def _random_assignments(system: ModulusSystem, trials: int, seed: int) -> Iterat
         yield tuple(rng.randrange(p) for p in system.moduli)
 
 
-def _column_counts(buf: bytearray, q: int) -> list[list[int]]:
-    """How many 0s, then 1s, each column buf[t::q] holds. Fewer rows than columns
-    and than ``FOLD_ROWS`` are folded instead: a value's 0/1 flags read as one
-    int of byte lanes, whose bottom half of rows is added onto its top half."""
-    rows = len(buf) // q
+def _fold(x: int, rows: int, row_bits: int) -> int:
+    """The sum, lane by lane, of the ``rows`` rows of ``row_bits`` bits that x holds."""
+    while rows > 1:
+        keep = rows - rows // 2  # rows keep.. add onto rows 0..; an odd count's middle stays
+        shift = row_bits * keep
+        x, rows = (x & ((1 << shift) - 1)) + (x >> shift), keep
+    return x
+
+
+def _column_counts(buf: bytearray, q: int, width: int) -> list[int]:
+    """How many 0s, then 1s, each column buf[t::q] holds, in lane t of q lanes of ``width``
+    bytes. Fewer rows than columns and than ``FOLD_ROWS`` are folded in byte lanes."""
+    rows, layout = len(buf) // q, f"<{q}{_LANES[width]}"
     if rows >= min(q, FOLD_ROWS):
         columns = [buf[t::q] for t in range(q)]
-        return [list(map(bytearray.count, columns, repeat(j))) for j in (0, 1)]
+        return [int.from_bytes(struct.pack(layout, *map(bytearray.count, columns, repeat(j))),
+                               "little") for j in (0, 1)]
     sums = []
     for flags in map(buf.translate, _FLAGS):
-        x, n = int.from_bytes(flags, "little"), rows
-        while n > 1:
-            keep = n - n // 2  # an odd count's middle row stays as it is
-            shift = 8 * q * keep
-            x, n = (x & ((1 << shift) - 1)) + (x >> shift), keep
-        sums.append([*x.to_bytes(q, "little")])
+        wide = bytearray(q * width)  # each sum, below 256, in the low byte of its lane
+        wide[::width] = _fold(int.from_bytes(flags, "little"), rows, 8 * q).to_bytes(q, "little")
+        sums.append(int.from_bytes(wide, "little"))
     return sums
 
 
-def _exhaustive_histograms(system: ModulusSystem) -> Iterator[tuple[Iterator[tuple], list, list]]:
-    """For each block, the assignments that share the head residues: those
-    assignments (lazily), then their free counts and their once-covered counts."""
+def _exhaustive_histograms(system: ModulusSystem, width: int) -> Iterator[tuple]:
+    """Per block, the assignments sharing the head residues (lazily), their number
+    q, then their free and once-covered counts, each in q lanes of ``width`` bytes."""
     moduli, size = system.moduli, system.product
     by_size = sorted(range(system.k), key=moduli.__getitem__)
     split, q = system.k - 1, moduli[by_size[-1]]  # the tail: by_size[split:], product q
-    # k >= 2 keeps a head modulus, so that a block's lists hold at most half the window
-    while split > 1 and size // q >= FOLD_ROWS and math.gcd(moduli[by_size[split - 1]], q) == 1:
+    # k >= 2 keeps a head modulus, so that a block's lanes hold at most half the window
+    while split > 1 and math.gcd(moduli[by_size[split - 1]], q) == 1:
         split -= 1
         q *= moduli[by_size[split]]
     head_moduli = tuple(moduli[i] for i in by_size[:split])
     tail = [moduli[i] for i in by_size[split:]]
     where = sorted(range(system.k), key=by_size.__getitem__)  # each modulus's place in by_size
     for residues in itertools.product(*map(range, head_moduli)):
-        # column u counts the integers u + 1 + q * N; by the CRT the columns u % m + m * j,
+        # lane u counts the integers u + 1 + q * N; by the CRT the lanes u % m + m * j,
         # m = q // p, share their other tail residues and take each residue mod p once
-        h0, h1 = _column_counts(_fill(1, size + 1, head_moduli, residues), q)
+        h0, h1 = _column_counts(_fill(1, size + 1, head_moduli, residues), q, width)
         for p in tail:  # residue r covers class r: its 0s become 1s, its 1s 2s
-            m = q // p  # line totals: m strided sums of p, or, if p <= m, p slabs of m added
-            t0, t1 = ([sum(h[i::m]) for i in range(m)] if p > m else
-                      [*map(sum, zip(*[h[j : j + m] for j in range(0, q, m)]))] for h in (h0, h1))
-            h0, h1 = [*map(sub, t0 * p, h0)], [*map(add, map(sub, t1 * p, h1), h0)]
-        # column u now counts the assignment giving each tail modulus p residue u + 1 mod p
+            m = q // p  # line totals: the p rows of m lanes added, then repeated p times
+            t0, t1 = (int.from_bytes(_fold(h, p, 8 * width * m).to_bytes(width * m, "little") * p,
+                                     "little") for h in (h0, h1))
+            h0, h1 = t0 - h0, t1 - h1 + h0  # no lane borrows: each lane of t is >= that of h
+        # lane u now counts the assignment giving each tail modulus p residue u + 1 mod p
         tails = ([(u + 1) % p for p in tail] for u in range(q))
-        yield (tuple(map([*residues, *t].__getitem__, where)) for t in tails), h0, h1
+        yield (tuple(map([*residues, *t].__getitem__, where)) for t in tails), q, h0, h1
 
 
 def residue_independence_check(
@@ -325,18 +331,22 @@ def residue_independence_check(
         )
 
     expected = coverage_counts(system)
-    observed = _exhaustive_histograms(system) if exhaustive else (
-        ((residues,), *zip(sieve_histogram(system, residues, degree=1,
-                                           product_limit=product_limit)))
+    # a lane holds any count of the window, which the budget keeps below 2**64
+    width = next(w for w in (2, 4, 8) if not system.product >> 8 * w)
+    observed = _exhaustive_histograms(system, width) if exhaustive else (
+        ((residues,), 1, *sieve_histogram(system, residues, degree=1, product_limit=product_limit))
         for residues in _random_assignments(system, trials, seed))
-    # blocks of assignments, their free and their once counts (one each in random
-    # mode) are tested by two counts; a CoverageCounts only for the mismatches kept
+    # blocks are tested by two comparisons with the wanted counts in every lane (one
+    # lane in random mode); a failing one is read back, a CoverageCounts made per mismatch kept
     want = (expected.free, expected.available - expected.free)
     tested, kept = 0, []  # (residues, free, once): the first five in trial or product order
-    for block, free, once in observed:
-        tested += len(free)
-        if not free.count(want[0]) == once.count(want[1]) == len(free):
-            found = itertools.chain(kept, (m for m in zip(block, free, once) if m[1:] != want))
+    for block, lanes, *counts in observed:
+        tested += lanes
+        ones = int.from_bytes((1).to_bytes(width, "little") * lanes, "little")
+        if counts != [want[0] * ones, want[1] * ones]:
+            read = (struct.unpack(f"<{lanes}{_LANES[width]}", c.to_bytes(width * lanes, "little"))
+                    for c in counts)
+            found = itertools.chain(kept, (m for m in zip(block, *read) if m[1:] != want))
             kept = sorted(found)[:5] if exhaustive else [*itertools.islice(found, 5)]
     return IndependenceReport(
         assignments_tested=tested,

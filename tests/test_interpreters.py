@@ -28,6 +28,9 @@ ARGVS = [
       for primes in ("2,3,5,7", "3,5,7,2", "7,2,3", "3,7", "13,2", "2,13", "7")),
     ("verify", "--first-k", "6", "--exhaustive", "--format", "csv"),
     ("verify", "--primes", "4,9,5,7,11", "--coprime", "--exhaustive", "--format", "csv"),
+    # the lane-width boundary: 2-byte lanes at 65535, 4-byte lanes at 65792
+    ("verify", "--primes", "3,5,17,257", "--exhaustive", "--format", "csv"),
+    ("verify", "--primes", "256,257", "--coprime", "--exhaustive", "--format", "csv"),
     ("verify", "--primes", "2,3,5", "--exhaustive"),
     # integers of more than 4300 digits
     ("count", "--first-k", "1500"),

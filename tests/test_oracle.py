@@ -361,8 +361,9 @@ def unvalidated(moduli):
 def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypatch):
     # expected counts no assignment of a window below 110880 integers can meet
     monkeypatch.setattr(oracle, "coverage_counts", lambda _: coverage_counts(system([331, 337])))
-    # (5, 2, 3): the first five assignments change the second residue too
-    for moduli in [(5, 2, 3), *EVERY_ORDER]:
+    # (5, 2, 3): the first five assignments change the second residue too; the
+    # last two read their blocks back from 2-byte lanes (65535) and 4-byte (65792)
+    for moduli in [(5, 2, 3), *EVERY_ORDER, (3, 5, 17, 257), (256, 257)]:
         s = unvalidated(moduli)
         report = residue_independence_check(s, exhaustive=True)
         assert report.assignments_tested == s.product
@@ -379,12 +380,27 @@ def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypat
                 assert [free, once] == brute_histogram(s, residues, 1, s.product + 1)[:2]
 
 
+def lane_width(s):
+    """The lane width the check picks: the smallest of 2, 4 and 8 bytes that holds
+    the product, which bounds every count."""
+    return next(w for w in (2, 4, 8) if s.product < 256**w)
+
+
+def lanes_of(packed, lanes, width):
+    """The ``lanes`` little-endian counts of ``width`` bytes that ``packed`` holds,
+    lane 0 first, read back without ``struct``."""
+    raw = packed.to_bytes(lanes * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
 def exhaustive_table(s):
     """(residues, (free, once)) of every assignment the exhaustive blocks count,
     in ``itertools.product`` order."""
-    blocks = oracle._exhaustive_histograms(s)
-    return sorted((residues, (free, once)) for block, frees, onces in blocks
-                  for residues, free, once in zip(block, frees, onces, strict=True))
+    width = lane_width(s)
+    return sorted((residues, (free, once))
+                  for block, lanes, *counts in oracle._exhaustive_histograms(s, width)
+                  for residues, free, once in zip(block, *(lanes_of(c, lanes, width)
+                                                           for c in counts), strict=True))
 
 
 @pytest.mark.parametrize("moduli, want", [((6, 4, 9), (126, 66)), ((3, 4, 8), (40, 44))])
@@ -413,6 +429,7 @@ def test_exhaustive_mismatches_in_several_blocks_are_the_first_five_of_a_cold_en
     ((2, 3, 5, 7, 11, 13), 1 << 19),  # tables of 30030 8-byte counts would take 480 KB
     ((49999, 2), 12 * 10**6),
     ((313, 317), 1 << 19),  # with 313 in the tail, 99221 counts a block
+    ((2, 3, 5, 7, 11, 43), 3 * 10**6),  # blocks of 49665 lanes: ~2.1 MB
 ])
 def test_exhaustive_check_holds_no_window_sized_tables(moduli, limit):
     s = system(moduli)
@@ -424,6 +441,29 @@ def test_exhaustive_check_holds_no_window_sized_tables(moduli, limit):
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+@pytest.mark.parametrize("moduli, width, counts", [
+    ((3, 5, 17, 257), 2, (59520, 32768, 6015)),  # 65535: the widest window of 2-byte lanes
+    ((256, 257), 4, (65791, 65280, 1)),  # 65792: the narrowest of 4-byte lanes
+])
+def test_exhaustive_lanes_are_the_narrowest_that_hold_the_window(moduli, width, counts,
+                                                                  monkeypatch):
+    widths = []
+    real = oracle._column_counts
+
+    def spy(buf, q, lane_width):
+        widths.append(lane_width)
+        return real(buf, q, lane_width)
+
+    monkeypatch.setattr(oracle, "_column_counts", spy)
+    s = system(moduli, coprime=True)
+    report = residue_independence_check(s, exhaustive=True)
+    assert report.all_match and report.assignments_tested == s.product
+    available, free, occupied = counts
+    assert report.expected == CoverageCounts(available=available, free=free,
+                                             occupied=occupied, product=s.product)
+    assert widths and set(widths) == {width}
 
 
 def assert_blocks_equal_cold_sieves(s, every=1):
@@ -449,13 +489,14 @@ def test_block_histograms_equal_cold_sieves_in_every_order(moduli):
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (3, 5, 7, 2), (2, 5, 7, 3), (2, 3, 5, 13),
                                     (4, 9, 5), (2,), (3,), (7,), (2, 3), (3, 7),
                                     (7, 2, 3), (2, 3, 5), (257, 2), (2, 3, 5, 7, 11),
-                                    (4, 9, 5, 7, 11), (131, 137)])
+                                    (4, 9, 5, 7, 11), (131, 137), (3, 5, 17, 257), (256, 257)])
 def test_block_histograms_equal_cold_ones(moduli):
     # last moduli 7, 2, 3 and 13, coprime composites, k = 1 (an empty head),
     # k = 2 (one tail modulus), k = 3 (a one-modulus head), blocks of 2 rows of
-    # 257 columns, tails of 7 * 11 and of 7 * 9 * 11, and 131 * 137, whose head
-    # 131 stays though it does not fold: every 997th of its 17947 assignments
-    # is sieved cold
+    # 257 columns, tails of 3 * 5 * 7 and of 5 * 7 * 9 * 11, 131 * 137, whose
+    # head 131 stays though it does not fold, and the widest windows of 2-byte
+    # lanes (65535) and the narrowest of 4-byte ones (65792): every 997th
+    # assignment of a window over 10**4 is sieved cold
     s = system(moduli, coprime=True)
     histograms = assert_blocks_equal_cold_sieves(s, every=997 if s.product > 10**4 else 1)
     assert histograms == {exact_coverage_histogram(s)[:2]}
@@ -480,26 +521,29 @@ def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
                                    (420, 1), (420, 421)])
 def test_column_sums_equal_numpy_sums(shape):
     # rows x columns: fewer rows than columns, and than FOLD_ROWS (127 x 128 at
-    # most), are folded; every other shape counts sliced columns
+    # most), are folded; every other shape counts sliced columns; both widened
+    # to every lane width that holds the row count
     import numpy as np
 
     rng = np.random.default_rng(sum(shape))
     # all zeros and all ones, whose sums are the row count: folds must not wrap
     for counts in (rng.integers(0, 3, shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8),
                    np.ones(shape, dtype=np.uint8)):
-        buf, q = bytearray(counts.tobytes()), shape[1]
+        buf, (rows, q) = bytearray(counts.tobytes()), shape
         expected = [(counts == j).sum(axis=0).tolist() for j in (0, 1)]
-        assert oracle._column_counts(buf, q) == expected
+        for width in (w for w in (2, 4, 8) if rows < 256**w):
+            packed = oracle._column_counts(buf, q, width)
+            assert [lanes_of(c, q, width) for c in packed] == expected
         assert expected == [[sum(v == j for v in buf[t::q]) for t in range(q)] for j in (0, 1)]
 
 
 @pytest.mark.parametrize("moduli, head, window", [
-    ((2, 3, 5, 7, 11, 13), (2, 3, 5), 30030),  # blocks of 7 * 11 * 13 assignments
+    ((2, 3, 5, 7, 11, 13), (2,), 30030),  # blocks of 3 * 5 * 7 * 11 * 13 assignments
     ((7, 3), (3,), 21),  # k = 2: blocks of the larger modulus alone
     ((131, 137), (131,), 17947),  # k = 2: 131 stays in the head though it does not fold
 ])
 def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, monkeypatch):
-    # 30 calls for the first 6 primes, 3 for (7, 3), each over the whole window
+    # 2 calls for the first 6 primes, 3 for (7, 3), each over the whole window
     report, calls = exhaustive_fills(system(moduli), monkeypatch)
     assert report.all_match
     assert calls == [(1, window + 1, head, residues)
@@ -507,10 +551,10 @@ def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, mo
 
 
 # each system's head: the largest moduli, while pairwise coprime, form the tail
-# until the product of the rest, the rows of a block, is below FOLD_ROWS (128)
-# or one modulus is left
-HEADS = {(2, 3, 5, 7): (2, 3, 5), (2, 3, 7): (2, 3), (3, 7): (3,), (2, 49999): (2,),
-         (3, 4, 8): (3, 4), (4, 6, 9): (4, 6), (2, 3, 5, 7, 11, 13): (2, 3, 5),
+# until one modulus is left; (3, 4, 8) and (4, 6, 9) keep two, 4 sharing a
+# factor with the tail 8 and 6 with the tail 9
+HEADS = {(2, 3, 5, 7): (2,), (2, 3, 7): (2,), (3, 7): (3,), (2, 49999): (2,),
+         (3, 4, 8): (3, 4), (4, 6, 9): (4, 6), (2, 3, 5, 7, 11, 13): (2,),
          (4, 6, 6, 8, 9): (4, 6, 6)}  # 6 shares a factor with the tail 8 * 9
 
 
