@@ -26,7 +26,7 @@ already written.
 Exit codes: 0 success/verified, 1 verification mismatch, 4 internal error;
 a refusal, argparse's included, prints one ``error:`` line and exits with
 its error class's ``exit_code`` (see errors.py). Every integer is printed
-in full, however many digits.
+in full, however many digits, by ``core._decimal_str``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ import time
 from collections.abc import Iterable, Iterator
 from typing import Any, NoReturn
 
-from .core import CoverageCounts, ModulusSystem, _product, validate_modulus_system
+from .core import (CoverageCounts, ModulusSystem, _decimal_str, _exact_context, _product,
+                   validate_modulus_system)
 from .counting import (
     coverage_counts,
     exact_coverage_histogram,
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _str_counts(counts: CoverageCounts) -> dict[str, str]:
     """The counts in decimal, in ``CoverageCounts``' field order."""
-    return {name: str(value) for name, value in counts._asdict().items()}
+    return {name: _decimal_str(value) for name, value in counts._asdict().items()}
 
 
 def _table(records: list[dict[str, Any]]) -> list[list[str]]:
@@ -202,8 +203,8 @@ def _run_count(args: argparse.Namespace, system: ModulusSystem) -> Output:
     coefficients = exact_coverage_histogram(system)
     # the decimal of each coefficient is made as it is written
     header = [*counts, *(f"j{j}" for j in range(len(coefficients)))]
-    rows = [header, itertools.chain(counts.values(), map(str, coefficients))]
-    return {}, {**counts, "histogram": map(str, coefficients)}, rows, EXIT_OK
+    rows = [header, itertools.chain(counts.values(), map(_decimal_str, coefficients))]
+    return {}, {**counts, "histogram": map(_decimal_str, coefficients)}, rows, EXIT_OK
 
 
 def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
@@ -217,7 +218,7 @@ def _run_det(args: argparse.Namespace, system: ModulusSystem) -> Output:
             raw = evaluate(build_free_matrix(system))
             value = raw if system.k % 2 == 0 else -raw
     inputs = {"which": args.which, "method": args.method}
-    value = str(value)
+    value = _decimal_str(value)
     return inputs, {"value": value}, _table([{**inputs, "value": value}]), EXIT_OK
 
 
@@ -259,16 +260,13 @@ def _run_verify(args: argparse.Namespace, system: ModulusSystem) -> Output:
 
 
 def _run_oeis(args: argparse.Namespace, _system: None) -> Output:
-    # The terms are folded in Decimal, whose str is linear in the digits (str(int)
-    # is quadratic before 3.12). decimal is loaded here only, and the context can
-    # hold any integer exactly; a rounding would raise and exit 4, never print.
+    # The terms are folded in Decimal: on a 2-CPU host, _decimal_str of each int term took
+    # 95 ms where str of the Decimal terms took 5 for 1200 A067549 terms, and 1.4 s where it
+    # took 32 ms for 3000. A rounding in the exact context would raise and exit 4.
     import decimal
 
     sequence = oeis_a067549 if args.sequence == "A067549" else oeis_a005867
-    with decimal.localcontext() as context:
-        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
-            context.traps[signal] = True
+    with decimal.localcontext(_exact_context()):
         values = sequence(args.terms, one=decimal.Decimal(1))
 
     def terms() -> Iterator[list[str]]:  # the decimal of each term is made as it is written
@@ -400,50 +398,30 @@ def _write(pieces: Iterable[str]) -> None:
         raise
 
 
-@contextlib.contextmanager
-def _exact_decimals():
-    """Lift Python 3.11+'s 4300-digit int<->str limit; counts pass it near k = 1300.
-
-    ``count`` and ``det``, by the recurrence and by Bareiss alike, still print
-    ints past that size; ``oeis`` folds in Decimal and never meets the limit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        # the arguments are parsed under the digit limit; only the work and its output are not
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         system = _system_from_args(args) if "primes" in args else None
-        with _exact_decimals():
-            inputs, results, rows, exit_code = args.run(args, system)
-            if getattr(args, "bfile", False):
-                pieces = _line_pieces(itertools.islice(rows, 1, None), " ")
-            elif args.format == "csv":
-                pieces = _line_pieces(rows, ",")
-            else:
-                if system is not None:
-                    moduli = [str(m) for m in system.moduli]
-                    inputs = {"moduli": moduli, "coprime": args.coprime, **inputs}
-                record = {
-                    "command": args.command,
-                    "inputs": inputs,
-                    "results": results,
-                    "timing_ms": (
-                        lambda: f"{(time.perf_counter() - started) * 1000.0:.3f}"
-                    ) if args.timing else None,
-                }
-                pieces = itertools.chain(_json_pieces(record), ["\n"])
-            _write(pieces)
+        inputs, results, rows, exit_code = args.run(args, system)
+        if getattr(args, "bfile", False):
+            pieces = _line_pieces(itertools.islice(rows, 1, None), " ")
+        elif args.format == "csv":
+            pieces = _line_pieces(rows, ",")
+        else:
+            if system is not None:
+                moduli = [str(m) for m in system.moduli]
+                inputs = {"moduli": moduli, "coprime": args.coprime, **inputs}
+            record = {
+                "command": args.command,
+                "inputs": inputs,
+                "results": results,
+                "timing_ms": (
+                    lambda: f"{(time.perf_counter() - started) * 1000.0:.3f}"
+                ) if args.timing else None,
+            }
+            pieces = itertools.chain(_json_pieces(record), ["\n"])
+        _write(pieces)
     except ApcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

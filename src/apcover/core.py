@@ -14,6 +14,7 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -22,6 +23,7 @@ from typing import Iterable, NamedTuple
 from .errors import ValidationError
 
 MAX_MODULUS = 2**64 - 1
+STR_BITS = 2048  # str(n) below 2**2048 has 617 digits or fewer: no digit limit is below 640
 
 # Deterministic Miller-Rabin witness sets. Bases 2, 3, 5, 7 decide every
 # n < 3215031751 = 151 * 751 * 28351, the least strong pseudoprime to all four
@@ -125,9 +127,9 @@ def validate_modulus_system(
         raise ValidationError("at least one modulus is required")
     for m in ms:
         if m < 2:
-            raise ValidationError(f"modulus {m} is smaller than 2")
+            raise ValidationError(f"modulus {_decimal_str(m)} is smaller than 2")
         if m > MAX_MODULUS:
-            raise ValidationError(f"modulus {m} does not fit in 64 bits")
+            raise ValidationError(f"modulus {_decimal_str(m)} does not fit in 64 bits")
     seen: set[int] = set()
     for m in ms:
         if m in seen:
@@ -178,6 +180,37 @@ def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int
 def gamma(system: ModulusSystem, residues: Iterable[int], n: int) -> int:
     """Number of chosen residue classes containing n, for n in [1, product]."""
     if not 1 <= n <= system.product:
-        raise ValidationError(f"{n} lies outside [1, {system.product}]")
+        raise ValidationError(f"{_decimal_str(n)} lies outside [1, {_decimal_str(system.product)}]")
     reduced = assign_residues(system, residues)
     return sum(1 for p, r in zip(system.moduli, reduced) if n % p == r)
+
+
+def _exact_context():
+    """A decimal context that holds any integer exactly and traps every rounding."""
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow])
+
+
+@functools.cache
+def _power(h: int):
+    """2**h in decimal, for h a power of two from ``STR_BITS`` up."""
+    half = _power(h >> 1) if h > STR_BITS else _exact_context().create_decimal(1 << h // 2)
+    return _exact_context().multiply(half, half)
+
+
+def _decimal(n: int):
+    """n as an exact Decimal: past ``STR_BITS`` bits, hi * 2**h + lo, h a power of two."""
+    context = _exact_context()
+    if n.bit_length() <= STR_BITS:
+        return context.create_decimal(n)
+    h = 1 << (n.bit_length() - 1).bit_length() - 1  # the largest below n's length
+    return context.add(context.multiply(_decimal(n >> h), _power(h)), _decimal(n & (1 << h) - 1))
+
+
+def _decimal_str(n: int) -> str:
+    """``str(n)`` whatever the int->str digit limit. Past ``STR_BITS`` bits, n is joined in
+    decimal from halves, as CPython 3.12's _pylong does (gh-90716): subquadratic where
+    str(int) is not before 3.12."""
+    return str(n) if n.bit_length() <= STR_BITS else str(_decimal(n))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CoverageCounts, ModulusSystem
+from .core import CoverageCounts, ModulusSystem, _decimal_str
 from .determinant import Number, coverage_polynomial, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
@@ -61,10 +61,10 @@ def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes via a plain sieve with a Rosser bound."""
     if count < 1:
-        raise ValidationError(f"need at least 1 prime, got {count}")
+        raise ValidationError(f"need at least 1 prime, got {_decimal_str(count)}")
     if count > MAX_FIRST_PRIMES:
         raise ResourceLimitError(
-            f"{count} primes exceed the first-primes limit {MAX_FIRST_PRIMES}"
+            f"{_decimal_str(count)} primes exceed the first-primes limit {MAX_FIRST_PRIMES}"
         )
     n = max(count, 6)  # p_n < n (ln n + ln ln n) for n >= 6
     bound = int(n * (math.log(n) + math.log(math.log(n)))) + 1

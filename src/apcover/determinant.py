@@ -144,8 +144,9 @@ def coverage_polynomials(
 
     ``one`` starts the fold and sets the coefficients' type: the int 1, or
     ``Decimal(1)`` when the terms are wanted in decimal. A Decimal fold is
-    exact only under a context that cannot round (the caller's to set up);
-    its ``str`` is linear in the digits where ``str(int)`` is quadratic."""
+    exact only under a context that cannot round, such as
+    ``core._exact_context()``; a table of its terms prints faster than
+    ``core._decimal_str`` converts the int terms one by one."""
     coeffs = [one]
     for p in moduli:
         weight = p - 1

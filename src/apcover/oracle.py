@@ -41,7 +41,7 @@ import struct
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import CoverageCounts, ModulusSystem, _integers, assign_residues
+from .core import CoverageCounts, ModulusSystem, _decimal_str, _integers, assign_residues
 from .counting import _counts, coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
@@ -91,7 +91,8 @@ def _check_window(system: ModulusSystem, product_limit: int) -> None:
     if product_limit < 1:
         raise ValidationError("product_limit must be >= 1")
     if system.product > product_limit:
-        raise ResourceLimitError(f"product {system.product} exceeds sieve limit {product_limit}")
+        raise ResourceLimitError(f"product {_decimal_str(system.product)} exceeds sieve"
+                                 f" limit {_decimal_str(product_limit)}")
 
 
 def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]) -> bytearray:
@@ -223,7 +224,7 @@ def sieve_histogram(
     residues = assign_residues(system, residues)
     degree = system.k if degree is None else _integer(degree, "degree")
     if not 0 <= degree <= system.k:
-        raise ValidationError(f"degree must be in [0, {system.k}], got {degree}")
+        raise ValidationError(f"degree must be in [0, {system.k}], got {_decimal_str(degree)}")
     return tuple(_chunk_histogram(1, system.product + 1, system.moduli, residues, degree))
 
 
@@ -327,7 +328,7 @@ def residue_independence_check(
     sieved = assignments * max(system.product, SIEVE_CALL_INTEGERS)
     if sieved > SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"{sieved} integers to sieve exceed the {mode} budget {SIEVE_BUDGET}"
+            f"{_decimal_str(sieved)} integers to sieve exceed the {mode} budget {SIEVE_BUDGET}"
         )
 
     expected = coverage_counts(system)

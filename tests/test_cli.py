@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -555,19 +556,32 @@ def test_timing_flag_adds_wall_clock(capsys):
 
 
 def decimal(n):
-    with cli._exact_decimals():
-        return str(n)
+    """n in decimal by libmpdec's own conversion, to which no digit limit applies."""
+    return str(Decimal(n))
 
 
-def test_exact_decimals_without_a_digit_limit(monkeypatch):
-    # Python 3.10 has no int<->str digit limit; there the context manager only yields
-    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-    body_ran = False
-    with cli._exact_decimals():
-        body_ran = True
-    assert body_ran
-    with pytest.raises(KeyError), cli._exact_decimals():
-        raise KeyError("body")
+def test_count_needs_no_change_to_the_digit_limit(capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"the digit limit was set to {limit}")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    code, record, _ = run_json(capsys, "count", "--first-k", "1500")
+    assert code == 0
+    assert record["results"]["product"] == decimal(math.prod(first_primes(1500)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit")
+def test_output_is_the_same_under_the_lowest_digit_limit(capsys):
+    argv = ("count", "--first-k", "1500")
+    default = run(capsys, *argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python allows
+    try:
+        lowest = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert default[0] == 0
+    assert lowest == default
 
 
 def primes_below_2_64(count):
@@ -613,16 +627,15 @@ def test_oeis_prints_every_digit(capsys):
     assert out.splitlines()[-1] == f"1450 {expected}"
 
 
-# oeis folds its terms in Decimal; every other path prints str() of an int
+# oeis folds its terms in Decimal; every other path prints core._decimal_str of an int
 ROUTE_TERMS = (1, 2, 30, 300, 1450, 2500)
 
 
 @functools.cache
 def int_fold_in_decimal(sequence):
-    """str() of each of the int fold's first max(ROUTE_TERMS) terms."""
+    """The decimal of each of the int fold's first max(ROUTE_TERMS) terms."""
     fold = oeis_a067549 if sequence == "A067549" else oeis_a005867
-    with cli._exact_decimals():
-        return tuple(str(value) for value in fold(max(ROUTE_TERMS)))
+    return tuple(decimal(value) for value in fold(max(ROUTE_TERMS)))
 
 
 @pytest.mark.parametrize("terms", ROUTE_TERMS)
@@ -860,6 +873,9 @@ OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
          OPTIONAL_IMPORTS, set()),
         ("import apcover.cli; apcover.cli.main(['oeis', '--sequence', 'A067549', '--terms', '3'])",
          OPTIONAL_IMPORTS, {"decimal"}),
+        # counts of over 2048 bits are converted in decimal
+        ("import apcover.cli; apcover.cli.main(['count', '--first-k', '1500'])",
+         OPTIONAL_IMPORTS, {"decimal"}),
         # the sieve runs on one worker whatever --threads asks for; it loads numpy,
         # which itself imports inspect, so inspect is not checked here
         ("import apcover.cli; apcover.cli.main(['verify', '--primes', '2,3', '--trials', '1',"
@@ -871,7 +887,8 @@ OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
         ("import apcover as a; s = a.validate_modulus_system(a.first_primes(8));"
          " a.sieve_histogram(s, range(8), degree=8)", OPTIONAL_IMPORTS[:3], set()),
     ],
-    ids=["import", "count", "oeis", "verify-one-chunk", "verify-many-chunks", "library-degree-k"],
+    ids=["import", "count", "oeis", "count-long", "verify-one-chunk", "verify-many-chunks",
+         "library-degree-k"],
 )
 def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded):
     assert modules_loaded_after(code, names) == loaded

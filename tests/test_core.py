@@ -1,17 +1,27 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
 from apcover.core import (
+    STR_BITS,
     CoverageCounts,
+    _decimal_str,
     assign_residues,
     gamma,
     is_prime,
     validate_modulus_system,
 )
 from apcover.counting import first_primes
-from apcover.errors import ValidationError
+from apcover.errors import ResourceLimitError, ValidationError
+from apcover.oracle import (
+    DEFAULT_PRODUCT_LIMIT,
+    SIEVE_BUDGET,
+    oracle_counts,
+    residue_independence_check,
+    sieve_histogram,
+)
 
 
 def test_validate_product_and_order():
@@ -260,3 +270,48 @@ def test_gamma_accepts_unreduced_direct_assignment():
     raw = (4, 5)  # classes 0 mod 2 and 2 mod 3
     assert gamma(system, raw, 6) == 1
     assert gamma(system, raw, 2) == 2
+
+
+# Decimal(n) is libmpdec's own conversion, to which no int->str digit limit applies
+@pytest.mark.parametrize("bits", [STR_BITS - 1, STR_BITS, STR_BITS + 1, 4095, 4096, 4097,
+                                  8191, 8192, 8193, 2**17 - 1, 2**17, 2**17 + 1])
+def test_decimal_str_equals_libmpdec_either_side_of_each_split(bits):
+    for n in (0, 1, 2**bits - 1, 2**bits, 2**bits + 1):
+        assert _decimal_str(n) == str(Decimal(n))
+        assert _decimal_str(-n) == str(Decimal(-n))
+
+
+# the first 2000 primes: a product of 7483 digits, past the default limit of 4300
+FIRST_2000 = validate_modulus_system(first_primes(2000))
+P = FIRST_2000.product
+BIG = 10**5000
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: residue_independence_check(FIRST_2000), ResourceLimitError,
+     f"product {Decimal(P)} exceeds sieve limit {DEFAULT_PRODUCT_LIMIT}"),
+    (lambda: sieve_histogram(FIRST_2000, [0] * 2000), ResourceLimitError,
+     f"product {Decimal(P)} exceeds sieve limit {DEFAULT_PRODUCT_LIMIT}"),
+    (lambda: oracle_counts(FIRST_2000, [0] * 2000, product_limit=P - 1), ResourceLimitError,
+     f"product {Decimal(P)} exceeds sieve limit {Decimal(P - 1)}"),
+    (lambda: residue_independence_check(FIRST_2000, product_limit=P, exhaustive=True),
+     ResourceLimitError,
+     f"{Decimal(P * P)} integers to sieve exceed the exhaustive budget {SIEVE_BUDGET}"),
+    (lambda: sieve_histogram(validate_modulus_system([2, 3]), [0, 0], degree=BIG),
+     ValidationError, f"degree must be in [0, 2], got {Decimal(BIG)}"),
+    (lambda: gamma(FIRST_2000, [0] * 2000, 0), ValidationError,
+     f"0 lies outside [1, {Decimal(P)}]"),
+    (lambda: validate_modulus_system([BIG]), ValidationError,
+     f"modulus {Decimal(BIG)} does not fit in 64 bits"),
+    (lambda: validate_modulus_system([-BIG]), ValidationError,
+     f"modulus {Decimal(-BIG)} is smaller than 2"),
+    (lambda: first_primes(-BIG), ValidationError, f"need at least 1 prime, got {Decimal(-BIG)}"),
+    (lambda: first_primes(BIG), ResourceLimitError,
+     f"{Decimal(BIG)} primes exceed the first-primes limit 1000000"),
+], ids=["check-window", "sieve-window", "counts-limit", "check-budget", "sieve-degree",
+        "gamma", "modulus-large", "modulus-negative", "first-primes-negative",
+        "first-primes-large"])
+def test_refusals_keep_their_class_and_every_digit_past_the_digit_limit(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

@@ -5,8 +5,9 @@ Each interpreter runs under ``-I``, which ignores PYTHONPATH and the user's
 site-packages, so the launcher puts ``src`` on ``sys.path`` itself (and under
 ``-B``, so that no interpreter leaves bytecode in ``src``). The other
 interpreters may have no third-party packages, so only commands that load no
-numpy are run: exhaustive checks, exact counts past 3.11's 4300-digit limit for
-int-to-str, and refusals, whose texts come partly from argparse.
+numpy are run: exhaustive checks, refusals, whose texts come partly from
+argparse, and integers printed past the 4300-digit default limit on int-to-str
+(3.11 on, and 3.10 from 3.10.7), in output and in a refusal alike.
 """
 
 import os
@@ -35,6 +36,7 @@ ARGVS = [
     # integers of more than 4300 digits
     ("count", "--first-k", "1500"),
     ("det", "--first-k", "2000"),
+    ("verify", "--first-k", "2000"),  # a refusal naming a product of 7483 digits
     # refusals made before any sieving
     ("count", "--primes", "4,3"),
     ("det", "--first-k", "12", "--which", "free", "--method", "laplace"),

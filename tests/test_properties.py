@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcover.oracle as oracle
-from apcover.core import ModulusSystem, assign_residues, validate_modulus_system
+from apcover.core import ModulusSystem, _decimal_str, assign_residues, validate_modulus_system
 from apcover.counting import coverage_counts, exact_coverage_histogram
 from apcover.determinant import (
     available_det,
@@ -87,6 +87,14 @@ def test_decimal_fold_prints_as_the_int_fold(moduli, degree):
     assert all(isinstance(c, decimal.Decimal) for coeffs in in_decimal for c in coeffs)
     assert [tuple(map(str, coeffs)) for coeffs in in_decimal] == \
         [tuple(map(str, coeffs)) for coeffs in in_int]
+
+
+# any sign and 2**10 to 2**15 bits, so str(n) and splits at 2**2048 up to 2**16384 are
+# taken; Decimal(n) is libmpdec's own conversion, to which no int->str digit limit applies
+@PROPERTY
+@given(st.integers(2**10, 2**15).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+def test_decimal_str_is_libmpdecs_conversion(n):
+    assert _decimal_str(n) == str(decimal.Decimal(n))
 
 
 @PROPERTY
