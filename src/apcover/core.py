@@ -85,13 +85,15 @@ class CoverageCounts(namedtuple("CoverageCounts", "available free occupied produ
     __slots__ = ()
 
     def __new__(cls, available: int, free: int, occupied: int, product: int) -> CoverageCounts:
-        if min(available, free, occupied, product) < 0:
-            raise ValueError("coverage counts must be nonnegative")
+        counts = _integers((available, free, occupied, product), "coverage count")
+        available, free, occupied, product = counts
+        if min(counts) < 0:
+            raise ValidationError("coverage counts must be nonnegative")
         if available + occupied != product:
-            raise ValueError("available + occupied must equal product")
+            raise ValidationError("available + occupied must equal product")
         if not free <= available <= product:
-            raise ValueError("free <= available <= product violated")
-        return super().__new__(cls, available, free, occupied, product)
+            raise ValidationError("free <= available <= product violated")
+        return super().__new__(cls, *counts)
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> CoverageCounts:
@@ -100,7 +102,8 @@ class CoverageCounts(namedtuple("CoverageCounts", "available free occupied produ
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """``values`` as ints by ``__index__``: a float or a str is refused, not truncated."""
+    """``values`` as ints by ``__index__``: a float or a str is refused, not truncated.
+    The one integer reader: every entry reads each integer argument here, before any use."""
     values = tuple(values)
     try:
         return tuple(map(operator.index, values))
@@ -179,6 +182,7 @@ def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int
 
 def gamma(system: ModulusSystem, residues: Iterable[int], n: int) -> int:
     """Number of chosen residue classes containing n, for n in [1, product]."""
+    (n,) = _integers([n], "n")
     if not 1 <= n <= system.product:
         raise ValidationError(f"{_decimal_str(n)} lies outside [1, {_decimal_str(system.product)}]")
     reduced = assign_residues(system, residues)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CoverageCounts, ModulusSystem, _decimal_str
+from .core import CoverageCounts, ModulusSystem, _decimal_str, _integers
 from .determinant import Number, coverage_polynomial, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
@@ -60,6 +60,7 @@ def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
 
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes via a plain sieve with a Rosser bound."""
+    (count,) = _integers([count], "count")
     if count < 1:
         raise ValidationError(f"need at least 1 prime, got {_decimal_str(count)}")
     if count > MAX_FIRST_PRIMES:

@@ -3,8 +3,8 @@
 The "available" matrix of a system is k x k with the moduli on the
 diagonal and ones everywhere else; the "free" matrix borders it with an
 all-ones first row, making it (k+1) x (k+1). A matrix is a plain tuple of
-rows; both determinant routes refuse one that is empty or not square.
-Three ways to evaluate them:
+rows; both determinant routes refuse one that is empty or not square, and
+read every entry as an int by ``__index__``. Three ways to evaluate them:
 
 * ``available_det`` / ``free_det``: one O(k) big-integer fold,
   ``coverage_polynomials``, over prod_i ((p_i - 1) + x). The free count
@@ -17,15 +17,15 @@ Three ways to evaluate them:
   evaluated once, for small matrices only, a second independent route that
   checks Bareiss.
 
-All arithmetic is arbitrary precision throughout; there is no fixed-width
-fast path to diverge from the exact routes.
+All arithmetic is arbitrary precision throughout, whatever the entries' type
+(a numpy int64 matrix too); there is no fixed-width path to overflow.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .core import ModulusSystem
+from .core import ModulusSystem, _integers
 from .errors import ResourceLimitError, ValidationError
 
 # Cofactor expansion of a dense random n x n matrix took 15-25 ms at n = 12 and
@@ -38,12 +38,12 @@ Number = TypeVar("Number")  # int, or decimal.Decimal for the sequence tables
 Rows = tuple[tuple[int, ...], ...]  # a matrix of arbitrary-precision integers, row by row
 
 
-def _dimension(rows: Sequence[Sequence[int]]) -> int:
-    """n, for an n x n matrix with n >= 1; any other shape is refused."""
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+def _square(matrix: Sequence[Sequence[int]]) -> Rows:
+    """The rows of an n x n matrix, n >= 1, as ints; any other shape is refused."""
+    rows = tuple(_integers(row, "matrix entry") for row in matrix)
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise ValidationError("matrix must be square and nonempty")
-    return n
+    return rows
 
 
 def _diagonal_rows(moduli: tuple[int, ...], width: int) -> Rows:
@@ -75,8 +75,8 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     tracking; every intermediate division is exact, so the result is the
     true integer determinant. Singular matrices return 0.
     """
-    n = _dimension(matrix)
-    m = [list(row) for row in matrix]
+    m = [list(row) for row in _square(matrix)]
+    n = len(m)
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -106,15 +106,15 @@ def det_laplace(matrix: Sequence[Sequence[int]]) -> int:
     Each minor is evaluated once, so an n x n matrix costs at most n * 2^n
     products rather than n!; refused above ``LAPLACE_MAX_DIMENSION`` (12).
     """
-    n = _dimension(matrix)
-    if n > LAPLACE_MAX_DIMENSION:
+    rows = _square(matrix)
+    if len(rows) > LAPLACE_MAX_DIMENSION:
         raise ValidationError(
-            f"cofactor expansion limited to dimension {LAPLACE_MAX_DIMENSION}, got {n}"
+            f"cofactor expansion limited to dimension {LAPLACE_MAX_DIMENSION}, got {len(rows)}"
         )
-    return _laplace(matrix)
+    return _laplace(rows)
 
 
-def _laplace(rows: Sequence[Sequence[int]]) -> int:
+def _laplace(rows: Rows) -> int:
     """Row by row: after i rows, ``minors`` maps each set of i columns (a
     bitmask) to the determinant of the first i rows on those columns, each
     found by expanding row i over the minors of the i - 1 rows above it.

@@ -79,15 +79,9 @@ class IndependenceReport(NamedTuple):
     mismatches: tuple[tuple[tuple[int, ...], CoverageCounts], ...] = ()
 
 
-def _integer(value: int, what: str) -> int:
-    """``value`` by ``__index__``, as core reads moduli: a float or NaN is refused."""
-    (value,) = _integers([value], what)
-    return value
-
-
 def _check_window(system: ModulusSystem, product_limit: int) -> None:
     """Refuse a ``product_limit`` below 1, then a window [1, product] over it."""
-    product_limit = _integer(product_limit, "product_limit")
+    (product_limit,) = _integers([product_limit], "product_limit")
     if product_limit < 1:
         raise ValidationError("product_limit must be >= 1")
     if system.product > product_limit:
@@ -222,7 +216,7 @@ def sieve_histogram(
     [1, product] covered exactly j times, by direct enumeration."""
     _check_window(system, product_limit)
     residues = assign_residues(system, residues)
-    degree = system.k if degree is None else _integer(degree, "degree")
+    (degree,) = _integers([system.k if degree is None else degree], "degree")
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {_decimal_str(degree)}")
     return tuple(_chunk_histogram(1, system.product + 1, system.moduli, residues, degree))
@@ -320,7 +314,7 @@ def residue_independence_check(
     if exhaustive:
         mode, assignments = "exhaustive", system.product
     else:
-        trials = _integer(trials, "trials")
+        (trials,) = _integers([trials], "trials")
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials

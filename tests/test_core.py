@@ -13,7 +13,8 @@ from apcover.core import (
     is_prime,
     validate_modulus_system,
 )
-from apcover.counting import first_primes
+from apcover.counting import first_primes, oeis_a005867, oeis_a067549
+from apcover.determinant import available_det, build_available_matrix, det_bareiss, det_laplace
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
     DEFAULT_PRODUCT_LIMIT,
@@ -108,6 +109,63 @@ def test_numpy_integers_are_taken_and_numpy_floats_refused():
         assign_residues(system, [0, np.array(2.5), 1])
     with pytest.raises(ValidationError, match=r"modulus (np\.float64\()?5\.0\)? is not an integer"):
         validate_modulus_system([2, 3, np.float64(5.0)])
+
+
+SMALL = validate_modulus_system([2, 3, 5])
+# each library entry with one integer argument set to x, and the name its refusal gives x
+ENTRIES = {
+    "first_primes": (first_primes, "count"),
+    "oeis_a067549": (oeis_a067549, "count"),
+    "oeis_a005867": (oeis_a005867, "count"),
+    "gamma": (lambda x: gamma(SMALL, [0, 0, 0], x), "n"),
+    "det_bareiss": (lambda x: det_bareiss([[2, 1], [1, x]]), "matrix entry"),
+    "det_laplace": (lambda x: det_laplace([[2, 1], [1, x]]), "matrix entry"),
+    "sieve_histogram": (lambda x: sieve_histogram(SMALL, [0, 0, 0], degree=x), "degree"),
+    "residue_independence_check": (lambda x: residue_independence_check(SMALL, trials=x),
+                                   "trials"),
+    "validate_modulus_system": (lambda x: validate_modulus_system([2, x]), "modulus"),
+    "assign_residues": (lambda x: assign_residues(SMALL, [0, x, 0]), "residue"),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.5, 1e7, "3", math.nan],
+                         ids=["half", "one-and-a-half", "1e7", "string", "nan"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_library_entry_refuses_a_non_integer_by_name(entry, value):
+    call, name = ENTRIES[entry]
+    with pytest.raises(ValidationError) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} {value!r} is not an integer"
+
+
+def test_numpy_matrices_are_read_as_exact_ints():
+    import numpy as np
+
+    # the first 30 primes: an available determinant of 47 digits, past int64
+    s = validate_modulus_system(first_primes(30))
+    assert det_bareiss(np.array(build_available_matrix(s))) == available_det(s)
+    assert available_det(s) == 13138650485608010339877847289243877821644800000
+    # 12 primes below 2**31 on the diagonal: a product of three of them overflows int64
+    primes = [p for p in range(2**31 - 1, 2**31 - 1000, -1) if is_prime(p)][:12]
+    s = validate_modulus_system(primes)
+    matrix = np.array(build_available_matrix(s), dtype=np.int64)
+    assert det_laplace(matrix) == det_bareiss(matrix) == available_det(s)
+    assert type(det_laplace(matrix)) is int and available_det(s) > 2**360
+    # a float matrix is refused, where elimination would return -1.0 and expansion -0.75
+    for evaluate in (det_bareiss, det_laplace):
+        with pytest.raises(ValidationError, match="matrix entry 0.5 is not an integer"):
+            evaluate(((0.5, 1), (1, 0.5)))
+
+
+def test_numpy_counts_and_indices_give_what_ints_give():
+    import numpy as np
+
+    assert first_primes(np.int64(5)) == first_primes(5) == [2, 3, 5, 7, 11]
+    assert oeis_a067549(np.int64(5)) == oeis_a067549(5)
+    residues = [1, 1, 2]
+    assert gamma(SMALL, residues, np.int64(7)) == gamma(SMALL, residues, 7) == 3
+    assert type(gamma(SMALL, residues, np.int64(7))) is int
+    assert all(type(p) is int for p in first_primes(np.int64(5)))
 
 
 def test_validate_idempotent_on_own_output():
@@ -253,6 +311,20 @@ def test_coverage_counts_invariants_enforced():
         CoverageCounts(available=2, free=3, occupied=4, product=6)
     with pytest.raises(ValueError):
         CoverageCounts(available=-1, free=0, occupied=7, product=6)
+
+
+def test_coverage_counts_refuse_like_the_rest_of_the_package():
+    import numpy as np
+
+    counts = CoverageCounts(*map(np.int64, (5, 2, 1, 6)))
+    assert counts == (5, 2, 1, 6) and all(type(c) is int for c in counts)
+    with pytest.raises(ValidationError, match="coverage count 5.0 is not an integer"):
+        CoverageCounts(available=5.0, free=2, occupied=1, product=6)
+    for bad in ((5, 2, 2, 6), (2, 3, 4, 6), (-1, 0, 7, 6)):
+        with pytest.raises(ValidationError):
+            CoverageCounts(*bad)
+    with pytest.raises(ValidationError):
+        CoverageCounts(5, 2, 1, 6)._replace(free=9)
 
 
 def test_coverage_counts_made_or_replaced_are_checked_too():
