@@ -65,8 +65,8 @@ from .oracle import DEFAULT_PRODUCT_LIMIT, residue_independence_check
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 4
-# bench folds every prefix once per --repeat, O(kmax^2) big-integer steps: at kmax
-# 1000, Bareiss aside, it took 1.6 s at --repeat 1 and 3.0 s at 3 on a 2-CPU host
+# bench multiplies every prefix in the product tree once per --repeat: at kmax 1000,
+# Bareiss aside, it took 0.3 s at --repeat 1 and 0.6-1.0 s at 3 on a 2-CPU host
 MAX_BENCH_KMAX = 1000
 # characters per write. A batch holds at most this much on top of its last piece,
 # and each write is a system call when stdout is unbuffered (PYTHONUNBUFFERED):

@@ -101,13 +101,15 @@ class CoverageCounts(namedtuple("CoverageCounts", "available free occupied produ
         return cls(*iterable)
 
 
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """``values`` as ints by ``__index__``: a float or a str is refused, not truncated.
-    The one integer reader: every entry reads each integer argument here, before any use."""
-    values = tuple(values)
+def _integers(values: Iterable[int], what: str, name: str = "argument") -> tuple[int, ...]:
+    """``values``, the argument ``name``, as ints by ``__index__``: a float or a str is refused,
+    not truncated. The one integer reader: every entry reads each integer argument here."""
     try:
+        values = tuple(values)
         return tuple(map(operator.index, values))
     except TypeError:
+        if not isinstance(values, tuple):  # only a tuple once read
+            raise ValidationError(f"{name} {values!r} is not a sequence") from None
         for v in values:
             try:
                 operator.index(v)
@@ -125,7 +127,7 @@ def validate_modulus_system(
     prime; with it true pairwise coprimality is enough, which is all the
     counting identities actually require.
     """
-    ms = _integers(moduli, "modulus")
+    ms = _integers(moduli, "modulus", "moduli")
     if not ms:
         raise ValidationError("at least one modulus is required")
     for m in ms:
@@ -158,12 +160,12 @@ def _check_pairwise_coprime(ms: tuple[int, ...]) -> None:
         product *= m
 
 
-def _product(ms: tuple[int, ...]) -> int:
-    """Product by a balanced tree over runs of 32 moduli: a running product re-reads
-    the whole product for every factor, which is quadratic once the product is long."""
-    values = [math.prod(ms[i : i + 32]) for i in range(0, len(ms), 32)]
-    while len(values) > 1:
-        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+def _product(values: Iterable, multiply=operator.mul):
+    """The product of ``values``, in order, by ``multiply`` in a balanced tree (Bernstein 2008):
+    a running product re-reads the whole product for every factor, which is quadratic."""
+    values = list(values)
+    while len(values) > 1:  # adjacent pairs multiplied; an odd count's last factor waits
+        values = [*map(multiply, values[::2], values[1::2]), *values[len(values) & ~1 :]]
     return values[0]
 
 
@@ -174,7 +176,7 @@ def assign_residues(system: ModulusSystem, residues: Iterable[int]) -> tuple[int
     sequence of integers of the right length, unreduced or negative, is a
     valid assignment.
     """
-    rs = _integers(residues, "residue")
+    rs = _integers(residues, "residue", "residues")
     if len(rs) != system.k:
         raise ValidationError(f"expected {system.k} residues, got {len(rs)}")
     return tuple(r % p for r, p in zip(rs, system.moduli))

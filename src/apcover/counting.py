@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .core import CoverageCounts, ModulusSystem, _decimal_str, _integers
-from .determinant import Number, coverage_polynomial, coverage_polynomials
+from .determinant import Number, _free_and_once, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
 MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
@@ -23,7 +23,7 @@ MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
 
 def coverage_counts(system: ModulusSystem) -> CoverageCounts:
     """Exact free/available/occupied counts, independent of any assignment."""
-    return _counts(system, *coverage_polynomial(system.moduli, 1))
+    return _counts(system, *_free_and_once(system.moduli))
 
 
 def _counts(system: ModulusSystem, free: int, once: int) -> CoverageCounts:
@@ -53,9 +53,11 @@ def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
     """Entry j counts the integers in [1, product] covered exactly j times, j = 0..k.
 
     The whole polynomial prod_i ((p_i - 1) + x), in O(k^2) exact
-    big-integer operations.
+    big-integer operations: the last prefix of the fold.
     """
-    return coverage_polynomial(system.moduli, system.k)
+    for histogram in coverage_polynomials(system.moduli, system.k):
+        pass
+    return histogram
 
 
 def first_primes(count: int) -> list[int]:

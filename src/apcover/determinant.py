@@ -6,13 +6,13 @@ all-ones first row, making it (k+1) x (k+1). A matrix is a plain tuple of
 rows; both determinant routes refuse one that is empty or not square, and
 read every entry as an int by ``__index__``. Three ways to evaluate them:
 
-* ``available_det`` / ``free_det``: one O(k) big-integer fold,
-  ``coverage_polynomials``, over prod_i ((p_i - 1) + x). The free count
-  is its x^0 coefficient and the available count its x^0 + x^1
-  coefficients, so both recurrences are the same fold read at degree 0
-  and degree 1;
+* ``available_det`` / ``free_det``: products over prod_i ((p_i - 1) + x),
+  whose x^0 coefficient is the free count and x^0 + x^1 coefficients the
+  available count, multiplied in the balanced tree ``core._product``. The
+  fold ``coverage_polynomials`` gives every prefix and every degree, for
+  the sequence tables and the histogram;
 * ``det_bareiss``: fraction-free elimination, exact on any integer
-  matrix, the route independent of the fold;
+  matrix, the route independent of the product;
 * ``det_laplace``: cofactor expansion along the last row, each minor
   evaluated once, for small matrices only, a second independent route that
   checks Bareiss.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .core import ModulusSystem, _integers
+from .core import ModulusSystem, _integers, _product
 from .errors import ResourceLimitError, ValidationError
 
 # Cofactor expansion of a dense random n x n matrix took 15-25 ms at n = 12 and
@@ -40,7 +40,10 @@ Rows = tuple[tuple[int, ...], ...]  # a matrix of arbitrary-precision integers, 
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     """The rows of an n x n matrix, n >= 1, as ints; any other shape is refused."""
-    rows = tuple(_integers(row, "matrix entry") for row in matrix)
+    try:
+        rows = tuple(_integers(row, "matrix entry", "matrix row") for row in matrix)
+    except TypeError:
+        raise ValidationError(f"matrix {matrix!r} is not a sequence") from None
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValidationError("matrix must be square and nonempty")
     return rows
@@ -141,6 +144,7 @@ def coverage_polynomials(
     """Coefficients of prod_i ((p_i - 1) + x) over each prefix of ``moduli``,
     lowest degree first and truncated above x^degree. The x^j coefficient
     counts the integers in [1, product] lying in exactly j chosen classes.
+    A running fold, for the jobs that read every prefix or every degree.
 
     ``one`` starts the fold and sets the coefficients' type: the int 1, or
     ``Decimal(1)`` when the terms are wanted in decimal. A Decimal fold is
@@ -158,28 +162,24 @@ def coverage_polynomials(
         yield tuple(coeffs)
 
 
-def coverage_polynomial(moduli: Iterable[int], degree: int) -> tuple[int, ...]:
-    """The full product, truncated above x^degree: the last prefix."""
-    coeffs = (1,)
-    for coeffs in coverage_polynomials(moduli, degree):
-        pass
-    return coeffs
+def _free_and_once(moduli: Iterable[int]) -> tuple[int, int]:
+    """The x^0 and x^1 coefficients of prod_i ((p_i - 1) + x), in ``core._product``."""
+    return _product(((p - 1, 1) for p in moduli),
+                    lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
 
 
 def free_det(system: ModulusSystem) -> int:
-    """F_k, the free count: the product of (p_i - 1) over the system.
+    """F_k, the free count: the product of (p_i - 1) over the system, in ``core._product``.
 
     Equals (-1)^k times the raw determinant of the bordered free matrix,
     so it is never negative; callers that evaluate that matrix directly
     apply the sign themselves.
     """
-    return coverage_polynomial(system.moduli, 0)[0]
+    return _product(p - 1 for p in system.moduli)
 
 
 def available_det(system: ModulusSystem) -> int:
-    """A_k, the available count, in O(k) big-integer multiplications.
-
-    The x^0 + x^1 coefficients of prod_i ((p_i - 1) + x); equals the
-    determinant of the available matrix for every modulus order.
-    """
-    return sum(coverage_polynomial(system.moduli, 1))
+    """A_k, the available count: the x^0 + x^1 coefficients of prod_i ((p_i - 1) + x),
+    from ``_free_and_once``; equals the determinant of the available matrix for every
+    modulus order."""
+    return sum(_free_and_once(system.moduli))

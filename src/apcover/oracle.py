@@ -6,8 +6,8 @@ j times, j = 1..degree + 1. A modulus is added by ORing into each plane, from
 the top down, the plane below it where the modulus's progression is set, then
 the progression into plane 1. Entry j of the histogram is the popcount of plane
 j minus that of plane j + 1 (entry 0: the integers outside plane 1). Reading
-stops at the degree asked for, as the fold of ``counting.coverage_counts`` stops
-at x^1; every integer is still sieved.
+stops at the degree asked for, as the product of ``counting.coverage_counts``
+stops at x^1; every integer is still sieved.
 
 The smallest moduli, while lcm(W, 8) integers of their product W fit a chunk,
 form a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,

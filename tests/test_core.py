@@ -138,6 +138,25 @@ def test_every_library_entry_refuses_a_non_integer_by_name(entry, value):
     assert str(refused.value) == f"{name} {value!r} is not an integer"
 
 
+# each entry handed a bare int where it reads a sequence, and the refusal naming it
+NON_SEQUENCES = {
+    "validate_modulus_system": (lambda: validate_modulus_system(5), "moduli 5"),
+    "assign_residues": (lambda: assign_residues(SMALL, 5), "residues 5"),
+    "gamma": (lambda: gamma(SMALL, 5, 1), "residues 5"),
+    "det_bareiss-rows": (lambda: det_bareiss([1, 2]), "matrix row 1"),
+    "det_bareiss-one-row": (lambda: det_bareiss([[1, 2], 3]), "matrix row 3"),
+    "det_laplace": (lambda: det_laplace(7), "matrix 7"),
+}
+
+
+@pytest.mark.parametrize("entry", NON_SEQUENCES)
+def test_every_library_entry_refuses_a_non_sequence_by_name(entry):
+    call, named = NON_SEQUENCES[entry]
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == f"{named} is not a sequence"
+
+
 def test_numpy_matrices_are_read_as_exact_ints():
     import numpy as np
 

@@ -503,14 +503,17 @@ def test_block_histograms_equal_cold_ones(moduli):
 
 
 @pytest.mark.parametrize("moduli", [(3, 2, 8), (5, 4, 6), (3, 4, 9, 2), (3, 4, 8), (6, 4, 9),
-                                    (4, 6, 6, 8, 9)])
+                                    (4, 6, 6, 8, 9), (2, 2, 2, 2), (3, 3, 3, 2)])
 def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
     # moduli that share a factor, so the histogram of the window depends on the
     # residues: a block that assumed the identity under test, or read another
     # residue's class, would differ from a cold sieve here (the system skips
     # validation on purpose); the heads of (3, 4, 8) and (6, 4, 9) share a factor
     # with the tail, and (4, 6, 6, 8, 9) keeps 6 out of its tail 8 * 9, with which
-    # it shares one, though the head (4, 6, 6) does not fold
+    # it shares one, though the head (4, 6, 6) does not fold. The head (2, 2, 2) of
+    # (2, 2, 2, 2) fills its blocks (0, 0, 0) and (1, 1, 1) with bytes 0 and 3 only:
+    # no byte is 2, yet no integer is covered once, so a once-count may not be read
+    # as rows minus zeros unless the head is one modulus
     s = ModulusSystem(moduli=moduli, product=math.prod(moduli))
     assert len(assert_blocks_equal_cold_sieves(s)) > 1
 

@@ -1,6 +1,6 @@
-"""Property tests: the coverage-polynomial fold against elimination and the
-sieve, Bareiss against Laplace, and results that must not depend on modulus
-order or on how the sieve runs."""
+"""Property tests: the product tree and the coverage-polynomial fold against
+each other, elimination and the sieve, Bareiss against Laplace, and results
+that must not depend on modulus order or on how the sieve runs."""
 
 import decimal
 import itertools
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import apcover.oracle as oracle
 from apcover.core import ModulusSystem, _decimal_str, assign_residues, validate_modulus_system
-from apcover.counting import coverage_counts, exact_coverage_histogram
+from apcover.counting import coverage_counts, exact_coverage_histogram, first_primes
 from apcover.determinant import (
     available_det,
     build_available_matrix,
@@ -68,6 +68,19 @@ def test_fold_matches_bareiss_on_prime_systems(moduli):
 @given(coprime_composite_systems())
 def test_fold_matches_bareiss_on_coprime_composite_systems(moduli):
     check_fold_against_bareiss(moduli, coprime=True)
+
+
+@PROPERTY
+@given(st.one_of(prime_systems, coprime_composite_systems(), st.integers(1, 200).map(first_primes)))
+@example(first_primes(199))
+def test_product_tree_equals_the_folds_last_prefix(moduli):
+    # the first 1-200 primes give trees of up to 8 levels, odd lengths included
+    s = validate_modulus_system(moduli, coprime_mode=True)
+    *_, (free,) = coverage_polynomials(s.moduli, 0)
+    *_, (free_again, once) = coverage_polynomials(s.moduli, 1)
+    assert free_det(s) == free == free_again
+    assert available_det(s) == free + once
+    assert coverage_counts(s)[:2] == (free + once, free)
 
 
 # holds any integer, and raises on any rounding
