@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -68,18 +68,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ModulusSystem(NamedTuple):
-    """k pairwise-distinct moduli in user order, with their exact product."""
+class _Checked(tuple):
+    """A named tuple whose ``__new__`` checks it: made or replaced, it is checked too."""
 
-    moduli: tuple[int, ...]
-    product: int
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        # namedtuple's own _make, which _replace calls too, would skip the checks
+        return cls(*iterable)
+
+
+class ModulusSystem(_Checked, namedtuple("ModulusSystem", "moduli product")):
+    """k pairwise-distinct moduli in user order, with their exact product; k >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, moduli: tuple[int, ...], product: int) -> ModulusSystem:
+        if not moduli:
+            raise ValidationError("at least one modulus is required")
+        return super().__new__(cls, moduli, product)
 
     @property
     def k(self) -> int:
         return len(self.moduli)
 
 
-class CoverageCounts(namedtuple("CoverageCounts", "available free occupied product")):
+class CoverageCounts(_Checked, namedtuple("CoverageCounts", "available free occupied product")):
     """Exact window counts: gamma = 0 (free), <= 1 (available), >= 2 (occupied)."""
 
     __slots__ = ()
@@ -94,11 +109,6 @@ class CoverageCounts(namedtuple("CoverageCounts", "available free occupied produ
         if not free <= available <= product:
             raise ValidationError("free <= available <= product violated")
         return super().__new__(cls, *counts)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> CoverageCounts:
-        # namedtuple's own _make, which _replace calls too, would skip the checks
-        return cls(*iterable)
 
 
 def _integers(values: Iterable[int], what: str, name: str = "argument") -> tuple[int, ...]:

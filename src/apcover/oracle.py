@@ -12,9 +12,8 @@ stops at x^1; every integer is still sieved.
 The smallest moduli, while lcm(W, 8) integers of their product W fit a chunk,
 form a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 17,
 1982). It and each other modulus's progression are packed once per call and
-repeated so that every chunk, widened to 64-bit words, is one slice of them; a
-modulus packed longer than a chunk is set at its members only. Chunk histograms
-add, so any partition of the window gives identical results.
+repeated so that every chunk is one slice of them; a modulus packed longer than
+a chunk is set at its members only. Chunks are whole 64-bit words of [1, product].
 
 An exhaustive check needs no numpy. Its tail takes the moduli from the largest
 down while coprime to it, leaving one or more (the head) when k >= 2. Per head
@@ -45,10 +44,13 @@ from .core import CoverageCounts, ModulusSystem, _decimal_str, _integers, assign
 from .counting import _counts, coverage_counts
 from .errors import ResourceLimitError, ValidationError
 
-# Integers per chunk. On a 2-CPU host the first 9 primes sieved at degree 1 as
-# fast at 2**20 as at 2**21 or 2**22, with the least peak RSS; 2**18 took over
-# twice as long (numpy calls of a few us).
-CHUNK_SIZE = 1 << 20
+# 64-bit words per chunk: 2**20 integers. On a 2-CPU host the first 9 primes sieved
+# at degree 1 as fast as in chunks of 2**21 or 2**22 integers, with the least peak
+# RSS; 2**18 took over twice as long (numpy calls of a few us). Plane rows are a word
+# longer than a chunk, so that rows do not start 2**17 bytes apart, where cache sets
+# could alias; the two layouts timed within 10% of each other, either way (first-9-primes
+# calls, 3 batches of 10-20 alternating processes).
+CHUNK_WORDS = 1 << 14
 DEFAULT_PRODUCT_LIMIT = 10**9
 # Integers sieved per check. On a 2-CPU host a random check of large windows
 # sieves them in about 1 s (~10 G/s), one of many windows below 10**5, each
@@ -89,23 +91,19 @@ def _check_window(system: ModulusSystem, product_limit: int) -> None:
                                  f" limit {_decimal_str(product_limit)}")
 
 
-def _fill(lo: int, hi: int, moduli: tuple[int, ...], residues: tuple[int, ...]) -> bytearray:
-    """One coverage counter byte per integer of [lo, hi). While the product of
-    the smallest moduli fits the window, buf is one period of them: it is
-    repeated p times before modulus p is added, by a strided translate."""
-    n = hi - lo
+def _fill(n: int, moduli: tuple[int, ...], residues: tuple[int, ...]) -> bytearray:
+    """One coverage counter byte per integer of [1, n]. While the product of the
+    smallest moduli fits the window, buf is one period of them: it is repeated p
+    times before modulus p is added, by a strided translate, then repeated to n."""
     buf = bytearray(1)
     for p, r in sorted(zip(moduli, residues)):
-        if len(buf) < n:
-            buf = buf * p if len(buf) * p <= n else _tile(buf, n)
-        s = (r - lo) % p
+        if len(buf) < n:  # at most one period past n, cut below
+            buf *= min(p, -(-n // len(buf)))
+        s = (r - 1) % p
         buf[s::p] = buf[s::p].translate(_INC)
-    return buf if len(buf) == n else _tile(buf, n)
-
-
-def _tile(buf: bytearray, n: int) -> bytearray:
-    """``buf`` repeated and cut to n bytes."""
-    return buf * (n // len(buf)) + buf[: n % len(buf)]
+    buf *= -(-n // len(buf))
+    del buf[n:]
+    return buf
 
 
 def _repeat(pattern, length: int):
@@ -128,7 +126,7 @@ def _planes(pairs: list[tuple[int, int]], degree: int):
     import numpy as np
 
     period = _packed_period(math.prod(p for p, _ in pairs))
-    counts = np.frombuffer(_fill(1, 8 * period + 1, [p for p, _ in pairs],
+    counts = np.frombuffer(_fill(8 * period, [p for p, _ in pairs],
                                  [r for _, r in pairs]), dtype=np.uint8)
     # one plane's bools at a time: all rows at once took the 510510 window from
     # 251 to 357 us a call on a 2-CPU host, most of it in pages faulted afresh
@@ -148,15 +146,15 @@ def _add(planes, mask, tmp=None) -> None:
     planes[0] |= mask
 
 
-def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
-                     residues: tuple[int, ...], degree: int) -> list[int]:
-    """Entries 0..degree of the coverage histogram of the window slice [lo, hi),
-    sieved in chunks of at most ``CHUNK_SIZE`` integers into planes allocated
-    once for all of them."""
+def _chunk_histogram(size: int, moduli: tuple[int, ...], residues: tuple[int, ...],
+                     degree: int) -> list[int]:
+    """Entries 0..degree of the coverage histogram of [1, size], sieved from bit 0 in
+    chunks of ``CHUNK_WORDS`` 64-bit words into planes allocated once for all of them;
+    bits past ``size`` in the window's last word are masked off."""
     import numpy as np
 
-    span = min(CHUNK_SIZE, hi - lo)
-    nbytes = 8 * (((span + 62) >> 6) + 1)  # the words a chunk of span integers can touch
+    total = 8 * ((size + 63) >> 6)  # the bytes of the words holding [1, size]
+    nbytes = min(8 * CHUNK_WORDS, total)  # a chunk's
     pairs = sorted(zip(moduli, residues))
     period, wheel = 1, 0  # the wheel's product and how many moduli it holds
     for p, _ in pairs:
@@ -174,13 +172,11 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
         else:
             dense.append((_repeat(_planes([(p, r)], 0)[0], packed_bytes + nbytes), packed_bytes))
 
-    buf = np.empty((degree + 1, nbytes), dtype=np.uint8)
-    tmp = np.empty((degree, nbytes), dtype=np.uint8)
+    buf = np.empty((degree + 1, nbytes + 8), dtype=np.uint8)  # rows a word longer: CHUNK_WORDS
+    tmp = np.empty((degree, nbytes + 8), dtype=np.uint8)
     ones = np.zeros(degree + 1, dtype=np.uint64)  # set bits of each plane
-    for first in range(lo, hi, CHUNK_SIZE):
-        end = min(first + CHUNK_SIZE, hi)
-        # the bytes of the 64-bit words holding the bits first - 1 .. end - 2
-        start, stop = 8 * ((first - 1) >> 6), 8 * (((end - 2) >> 6) + 1)
+    for start in range(0, total, nbytes):
+        stop = min(start + nbytes, total)
         ge = buf[:, : stop - start]
         s = start % wheel_bytes
         np.copyto(ge, wheel_planes[:, s : s + stop - start])
@@ -194,15 +190,12 @@ def _chunk_histogram(lo: int, hi: int, moduli: tuple[int, ...],
             _add(members, (1 << (bits & 7)).astype(np.uint8))
             ge[:, cols] = members
         words = ge.view("<u8")
-        if (first - 1) & 63:
-            words[:, 0] &= np.uint64((1 << 64) - (1 << ((first - 1) & 63)))
-        if (end - 1) & 63:
-            words[:, -1] &= np.uint64((1 << ((end - 1) & 63)) - 1)
+        if stop == total and size & 63:
+            words[:, -1] &= np.uint64((1 << (size & 63)) - 1)
         # uint32 sums: a plane of a chunk holds fewer than 2**32 bits
         ones += np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
     at_least = ones.tolist()
-    return [hi - lo - at_least[0],
-            *(at_least[j - 1] - at_least[j] for j in range(1, degree + 1))]
+    return [size - at_least[0], *(at_least[j - 1] - at_least[j] for j in range(1, degree + 1))]
 
 
 def sieve_histogram(
@@ -219,7 +212,7 @@ def sieve_histogram(
     (degree,) = _integers([system.k if degree is None else degree], "degree")
     if not 0 <= degree <= system.k:
         raise ValidationError(f"degree must be in [0, {system.k}], got {_decimal_str(degree)}")
-    return tuple(_chunk_histogram(1, system.product + 1, system.moduli, residues, degree))
+    return tuple(_chunk_histogram(system.product, system.moduli, residues, degree))
 
 
 def oracle_counts(
@@ -284,7 +277,7 @@ def _exhaustive_histograms(system: ModulusSystem, width: int) -> Iterator[tuple]
     for residues in itertools.product(*map(range, head_moduli)):
         # lane u counts the integers u + 1 + q * N; by the CRT the lanes u % m + m * j,
         # m = q // p, share their other tail residues and take each residue mod p once
-        h0, h1 = _column_counts(_fill(1, size + 1, head_moduli, residues), q, width)
+        h0, h1 = _column_counts(_fill(size, head_moduli, residues), q, width)
         for p in tail:  # residue r covers class r: its 0s become 1s, its 1s 2s
             m = q // p  # line totals: the p rows of m lanes added, then repeated p times
             t0, t1 = (int.from_bytes(_fold(h, p, 8 * width * m).to_bytes(width * m, "little") * p,

@@ -7,14 +7,28 @@ import pytest
 from apcover.core import (
     STR_BITS,
     CoverageCounts,
+    ModulusSystem,
     _decimal_str,
     assign_residues,
     gamma,
     is_prime,
     validate_modulus_system,
 )
-from apcover.counting import first_primes, oeis_a005867, oeis_a067549
-from apcover.determinant import available_det, build_available_matrix, det_bareiss, det_laplace
+from apcover.counting import (
+    coverage_counts,
+    exact_coverage_histogram,
+    first_primes,
+    occ_recurrence,
+    oeis_a005867,
+    oeis_a067549,
+)
+from apcover.determinant import (
+    available_det,
+    build_available_matrix,
+    det_bareiss,
+    det_laplace,
+    free_det,
+)
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
     DEFAULT_PRODUCT_LIMIT,
@@ -155,6 +169,37 @@ def test_every_library_entry_refuses_a_non_sequence_by_name(entry):
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == f"{named} is not a sequence"
+
+
+# each entry that takes a system, handed one built by hand with no moduli
+NO_MODULI = {
+    "free_det": free_det,
+    "available_det": available_det,
+    "coverage_counts": coverage_counts,
+    "occ_recurrence": occ_recurrence,
+    "exact_coverage_histogram": exact_coverage_histogram,
+    "oracle_counts": lambda s: oracle_counts(s, ()),
+    "sieve_histogram": lambda s: sieve_histogram(s, ()),
+    "residue_independence_check-random": residue_independence_check,
+    "residue_independence_check-exhaustive": lambda s: residue_independence_check(
+        s, exhaustive=True),
+}
+
+
+@pytest.mark.parametrize("entry", NO_MODULI)
+def test_every_entry_refuses_a_system_with_no_moduli(entry):
+    # refused as validate_modulus_system refuses the empty list, before any count
+    with pytest.raises(ValidationError) as refused:
+        NO_MODULI[entry](ModulusSystem((), 1))
+    assert str(refused.value) == "at least one modulus is required"
+
+
+def test_a_system_made_or_replaced_is_checked_too():
+    assert ModulusSystem((2,), 2)._replace(moduli=(3,), product=3) == ModulusSystem._make(((3,), 3))
+    for made in (lambda: ModulusSystem._make(((), 1)),
+                 lambda: ModulusSystem((2,), 2)._replace(moduli=())):
+        with pytest.raises(ValidationError, match="at least one modulus is required"):
+            made()
 
 
 def test_numpy_matrices_are_read_as_exact_ints():

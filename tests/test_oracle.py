@@ -62,17 +62,25 @@ def test_oracle_counts_examples():
     assert (counts.available, counts.free) == (140, 48)
 
 
+def words_for(integers):
+    """The fewest whole 64-bit words that hold ``integers`` integers: a chunk's size in words."""
+    return -(-integers // 64)
+
+
+# chunks of at least 1, 7, 97 and 1000 integers and of 2**20, in whole words: one word
+# (1 and 7), two (16 bytes, so chunk starts move along the wheel's packed period of 105
+# bytes), 16 (the whole window of most systems below), and the production size
 @pytest.mark.parametrize("chunk_size", [1, 7, 1 << 20, 97, 1000])
 def test_chunked_execution_invariance(chunk_size, monkeypatch):
     s = system([2, 3, 5, 7])
     a = assign_residues(s, [1, 2, 3, 4])
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
+    monkeypatch.setattr(oracle, "CHUNK_WORDS", words_for(chunk_size))
     assert sieve_histogram(s, a) == (48, 92, 56, 13, 1)
     # windows that are not a multiple of 8, even coprime composites (packed over
     # lcm(p, 8) integers), and moduli packed longer than a chunk's bytes, which
     # are set chunk by chunk: at every degree
     systems = [(3, 5, 7), (8, 9, 5), (4, 9, 25), (2, 3, 1009)]
-    if chunk_size >= 1000:  # at most 2001 chunks
+    if chunk_size >= 1000:  # at most 1954 chunks of the 31251 words of 2000006 integers
         systems.append((2, 1000003))
     for moduli in systems:
         s = system(moduli, coprime=True)
@@ -89,20 +97,20 @@ def test_every_window_is_sieved_by_the_planes(moduli, monkeypatch):
     windows = []
     real_chunk_histogram = oracle._chunk_histogram
 
-    def recording_chunk_histogram(lo, hi, moduli, residues, degree):
-        windows.append((lo, hi))
-        return real_chunk_histogram(lo, hi, moduli, residues, degree)
+    def recording_chunk_histogram(size, moduli, residues, degree):
+        windows.append(size)
+        return real_chunk_histogram(size, moduli, residues, degree)
 
     monkeypatch.setattr(oracle, "_chunk_histogram", recording_chunk_histogram)
     s = system(moduli, coprime=True)
     a = assign_residues(s, [(3 * i + 1) % p for i, p in enumerate(moduli)])
     full = exact_coverage_histogram(s)
-    for chunk_size in (oracle.CHUNK_SIZE, s.product - 1):
-        monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
+    for chunk_words in (oracle.CHUNK_WORDS, max(1, (s.product - 1) >> 6)):
+        monkeypatch.setattr(oracle, "CHUNK_WORDS", chunk_words)
         windows.clear()
         for degree in range(s.k + 1):
             assert sieve_histogram(s, a, degree=degree) == full[: degree + 1]
-        assert windows == [(1, s.product + 1)] * (s.k + 1)
+        assert windows == [s.product] * (s.k + 1)
 
 
 def test_product_limit_refusal():
@@ -262,25 +270,30 @@ def test_sieve_config_validation():
     assert residue_independence_check(s, trials=True).assignments_tested == 1
 
 
-def brute_histogram(s, a, lo, hi):
-    """Coverage histogram of [lo, hi) by one gamma call per integer."""
-    counts = [0] * (s.k + 1)
-    for n in range(lo, hi):
-        counts[gamma(s, a, n)] += 1
-    return counts
+def brute_histogram(s, a, size):
+    """Coverage histogram of [1, size] by one gamma call per integer."""
+    return prefix_histogram([gamma(s, a, n) for n in range(1, size + 1)], s.k)
 
 
-# chunk starts off 1 + 210Z, so a wheel tile must be shifted to each chunk's start
+def prefix_histogram(gammas, k):
+    """Entries 0..k of the histogram of the multiplicities ``gammas``."""
+    return [gammas.count(j) for j in range(k + 1)]
+
+
+# prefixes [1, size] in chunks of 1, 3 and 37 words (the wheel 2 .. 3, 2 .. 5 and
+# 2 .. 7, the other moduli dense or set at their members), so that chunk starts fall
+# anywhere on the wheel's packed period and the last word is cut anywhere
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (11, 2, 7, 3, 5), (13, 2, 3, 5, 7, 11)])
-def test_chunk_histogram_matches_gamma_at_any_start(moduli):
+def test_chunk_histogram_matches_gamma_at_any_start(moduli, monkeypatch):
     s = system(moduli)
     a = assign_residues(s, [(7 * i + 3) % p for i, p in enumerate(moduli)])
-    for lo in (2, 5, 100, 228, 1000, 2300, 2311 + 17, 30030 - 6100):
-        for length in (1, 209, 211, 2311, 6000):
-            hi = min(lo + length, s.product + 1)
-            if lo < hi:
-                hist = oracle._chunk_histogram(lo, hi, s.moduli, a, s.k)
-                assert hist == brute_histogram(s, a, lo, hi)
+    gammas = [gamma(s, a, n) for n in range(1, s.product + 1)]
+    for chunk_words in (1, 3, 37):
+        monkeypatch.setattr(oracle, "CHUNK_WORDS", chunk_words)
+        for size in (1, 63, 64, 65, 209, 211, 2311, 2328, 6000, 23930, s.product):
+            if size <= s.product:
+                hist = oracle._chunk_histogram(size, s.moduli, a, s.k)
+                assert hist == prefix_histogram(gammas[:size], s.k)
                 assert all(type(c) is int for c in hist)
 
 
@@ -295,29 +308,32 @@ def test_chunk_histogram_matches_gamma_at_any_start(moduli):
         (2, 3, 1009),  # 1009 packs to more bytes than any chunk of this window
     ],
 )
+# chunks of at least 1, 97 and 1000 integers and of 2**20, in whole words: 1, 2 and
+# 16 words, which split every window here off its periods, and the production size
 @pytest.mark.parametrize("chunk_size", [1, 97, 1000, 1 << 20])
 def test_sieve_matches_gamma_on_wheel_edge_systems(moduli, chunk_size, monkeypatch):
     s = system(moduli, coprime=True)
     rng = random.Random(sum(moduli) + chunk_size)
     a = assign_residues(s, [rng.randrange(p) for p in moduli])
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
-    assert list(sieve_histogram(s, a)) == brute_histogram(s, a, 1, s.product + 1)
+    monkeypatch.setattr(oracle, "CHUNK_WORDS", words_for(chunk_size))
+    assert list(sieve_histogram(s, a)) == brute_histogram(s, a, s.product)
 
 
-# the same starts, every degree: entries 0..degree of the full histogram; also
-# even coprime composites, and 1009, packed longer than a slice's bytes
+# prefixes of the same systems, every degree: entries 0..degree of the prefix's
+# histogram; also even coprime composites, and 1009, packed longer than a chunk's bytes
 @pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (13, 2, 3, 5, 7, 11), (8, 9, 25, 7),
                                     (2, 3, 1009)])
-def test_chunk_histogram_truncates_at_every_degree(moduli):
+def test_chunk_histogram_truncates_at_every_degree(moduli, monkeypatch):
     s = system(moduli, coprime=True)
     a = assign_residues(s, [(5 * i + 2) % p for i, p in enumerate(moduli)])
-    for lo in (2, 228, 2311 + 17, 30030 - 6100):
-        for length in (1, 211, 6000):
-            hi = min(lo + length, s.product + 1)
-            if lo < hi:
-                full = brute_histogram(s, a, lo, hi)
+    gammas = [gamma(s, a, n) for n in range(1, s.product + 1)]
+    for chunk_words in (1, 37):
+        monkeypatch.setattr(oracle, "CHUNK_WORDS", chunk_words)
+        for size in (1, 211, 2328, 6000, s.product):
+            if size <= s.product:
+                full = prefix_histogram(gammas[:size], s.k)
                 for degree in range(s.k + 1):
-                    hist = oracle._chunk_histogram(lo, hi, s.moduli, a, degree)
+                    hist = oracle._chunk_histogram(size, s.moduli, a, degree)
                     assert hist == full[: degree + 1]
                     assert all(type(c) is int for c in hist)
 
@@ -372,12 +388,12 @@ def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypat
         first_five = list(itertools.islice(itertools.product(*map(range, moduli)), 5))
         assert [residues for residues, _ in report.mismatches] == first_five
         for residues, observed in report.mismatches:
-            free, once = oracle._chunk_histogram(1, s.product + 1, moduli, residues, 1)
+            free, once = sieve_histogram(s, residues, degree=1)
             assert observed == CoverageCounts(available=free + once, free=free,
                                               occupied=s.product - free - once,
                                               product=s.product)
             if s.product < 1000:
-                assert [free, once] == brute_histogram(s, residues, 1, s.product + 1)[:2]
+                assert [free, once] == brute_histogram(s, residues, s.product)[:2]
 
 
 def lane_width(s):
@@ -415,7 +431,7 @@ def test_exhaustive_mismatches_in_several_blocks_are_the_first_five_of_a_cold_en
     expected = CoverageCounts(available=free + once, free=free,
                               occupied=s.product - free - once, product=s.product)
     monkeypatch.setattr(oracle, "coverage_counts", lambda _: expected)
-    cold = ((residues, tuple(oracle._chunk_histogram(1, s.product + 1, moduli, residues, 1)))
+    cold = ((residues, sieve_histogram(s, residues, degree=1))
             for residues in itertools.product(*map(range, moduli)))
     first_five = list(itertools.islice(((r, h) for r, h in cold if h != want), 5))
     assert len({residues[:2] for residues, _ in first_five}) > 1
@@ -473,7 +489,7 @@ def assert_blocks_equal_cold_sieves(s, every=1):
     table = exhaustive_table(s)
     assert [residues for residues, _ in table] == list(itertools.product(*map(range, s.moduli)))
     for residues, hist in table[::every] + table[-1:]:
-        assert hist == tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1))
+        assert hist == sieve_histogram(s, residues, degree=1)
     return {hist for _, hist in table}
 
 
@@ -549,7 +565,7 @@ def test_exhaustive_check_fills_the_head_once_per_block(moduli, head, window, mo
     # 2 calls for the first 6 primes, 3 for (7, 3), each over the whole window
     report, calls = exhaustive_fills(system(moduli), monkeypatch)
     assert report.all_match
-    assert calls == [(1, window + 1, head, residues)
+    assert calls == [(window, head, residues)
                      for residues in itertools.product(*map(range, head))]
 
 
@@ -571,7 +587,7 @@ def test_exhaustive_check_fills_the_same_head_in_every_order(moduli, monkeypatch
     head = HEADS[tuple(sorted(moduli))]
     report, calls = exhaustive_fills(unvalidated(moduli), monkeypatch)
     assert report.assignments_tested == math.prod(moduli)
-    assert calls == [(1, math.prod(moduli) + 1, head, residues)
+    assert calls == [(math.prod(moduli), head, residues)
                      for residues in itertools.product(*map(range, head))]
 
 
@@ -580,9 +596,9 @@ def exhaustive_fills(s, monkeypatch):
     calls = []
     real = oracle._fill
 
-    def spy(lo, hi, filled, residues):
-        calls.append((lo, hi, tuple(filled), tuple(residues)))
-        return real(lo, hi, filled, residues)
+    def spy(n, filled, residues):
+        calls.append((n, tuple(filled), tuple(residues)))
+        return real(n, filled, residues)
 
     monkeypatch.setattr(oracle, "_fill", spy)
     return residue_independence_check(s, exhaustive=True), calls
@@ -641,9 +657,9 @@ def test_one_worker_faults_its_planes_in_once_per_call_not_per_chunk():
 def test_a_modulus_packed_longer_than_a_chunk_takes_memory_of_a_chunk(monkeypatch):
     import tracemalloc
 
-    # 1000003 packs to 1000003 bytes, from 8 MB of bools; a chunk of 4096
-    # integers takes 520 bytes a plane, and the 489 chunks are walked, not listed
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 1 << 12)
+    # 1000003 packs to 1000003 bytes, from 8 MB of bools; a chunk of 64 words
+    # (4096 integers) takes 520 bytes a plane, and the 489 chunks are walked, not listed
+    monkeypatch.setattr(oracle, "CHUNK_WORDS", 1 << 6)
     s = system([2, 1000003])
     assert sieve_histogram(system([2, 3]), [0, 0]) == (2, 3, 1)  # imports numpy first
     tracemalloc.start()

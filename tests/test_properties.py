@@ -146,19 +146,18 @@ SIEVE_SYSTEMS = ((2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 3, 5, 7, 
 @given(
     moduli=st.sampled_from(SIEVE_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=5, max_size=5),
-    chunk_size=st.integers(1, 300),
+    chunk_words=st.integers(1, 40),
 )
-@example(moduli=(2, 3, 5, 7, 11), residues=[1, 2, 3, 4, 5], chunk_size=1)
-@example(moduli=(2, 3, 5), residues=[0] * 5, chunk_size=300)  # one chunk
-@example(moduli=(2, 3), residues=[1] * 5, chunk_size=6)  # one chunk, exactly
-def test_sieve_ignores_chunk_size(moduli, residues, chunk_size):
+@example(moduli=(2, 3, 5, 7, 11), residues=[1, 2, 3, 4, 5], chunk_words=1)
+@example(moduli=(2, 3, 5, 7, 11), residues=[0] * 5, chunk_words=37)  # one chunk, exactly
+@example(moduli=(2, 3), residues=[1] * 5, chunk_words=1)  # one word, cut to 6 bits
+def test_sieve_ignores_chunk_size(moduli, residues, chunk_words):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
     whole_window = sieve_histogram(s, a)
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+    with mock.patch.object(oracle, "CHUNK_WORDS", chunk_words):
         assert sieve_histogram(s, a) == whole_window
     assert whole_window == exact_coverage_histogram(s)
-
 
 
 # Products 2310 and 30030, moduli out of order, coprime composites, and moduli
@@ -171,15 +170,15 @@ WHEEL_SYSTEMS = ((2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13), (11, 2, 7, 3, 5),
 @given(
     moduli=st.sampled_from(WHEEL_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
-    chunk_size=st.integers(1, 1000),
+    chunk_words=st.integers(1, 16),
 )
-@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000)
-@example(moduli=(11, 2, 7, 3, 5), residues=[0] * 6, chunk_size=211)
-@example(moduli=(211, 223), residues=[5, 7] + [0] * 4, chunk_size=997)
-def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size):
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_words=16)
+@example(moduli=(11, 2, 7, 3, 5), residues=[0] * 6, chunk_words=3)  # 24 bytes, the wheel 15
+@example(moduli=(211, 223), residues=[5, 7] + [0] * 4, chunk_words=15)
+def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_words):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+    with mock.patch.object(oracle, "CHUNK_WORDS", chunk_words):
         assert sieve_histogram(s, a) == exact_coverage_histogram(s)
 
 
@@ -187,15 +186,15 @@ def test_sieve_ignores_chunk_starts_off_the_wheel(moduli, residues, chunk_size):
 @given(
     moduli=st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
     residues=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
-    chunk_size=st.integers(1, 1000),
+    chunk_words=st.integers(1, 16),
     degree=st.integers(0, 6),
 )
-@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_size=1000, degree=1)
-def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, degree):
+@example(moduli=(2, 3, 5, 7, 11, 13), residues=[1, 2, 3, 4, 5, 6], chunk_words=16, degree=1)
+def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_words, degree):
     s = validate_modulus_system(moduli, coprime_mode=True)
     a = assign_residues(s, residues[: s.k])
     degree %= s.k + 1
-    with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+    with mock.patch.object(oracle, "CHUNK_WORDS", chunk_words):
         assert sieve_histogram(s, a, degree=degree) == exact_coverage_histogram(s)[: degree + 1]
 
 
@@ -204,65 +203,86 @@ def test_truncated_sieve_is_a_prefix_of_the_fold(moduli, residues, chunk_size, d
     moduli=st.lists(st.one_of(st.integers(2, 40), st.integers(41, 10**5)), min_size=1,
                     max_size=8),
     residues=st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8),
-    lo=st.integers(1, 10**7),
-    length=st.integers(1, 5000),
+    n=st.integers(1, 5000),
+)
+@example(moduli=[3, 7, 3, 6], residues=[2, 5, -1, 4] + [0] * 4, n=20)  # a period cut short
+@example(moduli=[2, 4, 8, 16], residues=[1, 1, 1, 1] + [0] * 4, n=64)
+@example(moduli=[99991, 5000], residues=[-3, 4999] + [0] * 6, n=4999)  # no period fits
+def test_fill_counts_the_progressions_at_each_integer(moduli, residues, n):
+    # byte i counts the pairs (p, r) with p | i + 1 - r, one integer at a time:
+    # shared factors and repeats included, residues unreduced
+    pairs = list(zip(moduli, residues))
+    counters = oracle._fill(n, tuple(moduli), tuple(r for _, r in pairs))
+    assert counters == bytearray(sum((i + 1 - r) % p == 0 for p, r in pairs) for i in range(n))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    moduli=st.lists(st.one_of(st.integers(2, 40), st.integers(41, 10**5)), min_size=1,
+                    max_size=8),
+    residues=st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8),
+    size=st.integers(1, 20000),
+    chunk_words=st.integers(1, 40),
     degree=st.integers(0, 8),
 )
-@example(moduli=[2, 1000003], residues=[1, 5] + [0] * 6, lo=999_997, length=4099, degree=2)
-@example(moduli=[8, 9, 25, 4], residues=[3, 1, 7, 2] + [0] * 4, lo=13, length=803, degree=4)
-def test_planes_equal_the_fill_counters_binned(moduli, residues, lo, length, degree):
-    # the planes on any slice of any moduli, shared factors and repeats included:
-    # wheel, dense and member-by-member moduli, and unaligned edges
+@example(moduli=[2, 1000003], residues=[1, 5] + [0] * 6, size=1_004_099, chunk_words=977,
+         degree=2)
+@example(moduli=[8, 9, 25, 4], residues=[3, 1, 7, 2] + [0] * 4, size=815, chunk_words=3,
+         degree=4)
+def test_planes_equal_the_fill_counters_binned(moduli, residues, size, chunk_words, degree):
+    # the planes on any prefix of any moduli, shared factors and repeats included:
+    # wheel, dense and member-by-member moduli, chunk starts anywhere on their
+    # periods, and the last word cut anywhere
     import numpy as np
 
     a = tuple(residues[: len(moduli)])
     degree %= len(moduli) + 1
-    counters = oracle._fill(lo, lo + length, tuple(moduli), a)
+    counters = oracle._fill(size, tuple(moduli), a)
     binned = np.bincount(counters, minlength=len(moduli) + 1)[: degree + 1].tolist()
-    assert oracle._chunk_histogram(lo, lo + length, tuple(moduli), a, degree) == binned
+    with mock.patch.object(oracle, "CHUNK_WORDS", chunk_words):
+        assert oracle._chunk_histogram(size, tuple(moduli), a, degree) == binned
 
 
 # Runs of 3 to 6 calls that share every residue but the last and step the
 # last up by 1 (wrapping mod its modulus), in the order an exhaustive check
 # enumerates them; residues from {0, 1, 2} but the last, so consecutive runs
-# often share them too; chunk sizes of 97 and 1000 split most of these windows.
+# often share them too; chunks of 2 and 16 words split most of these windows.
 sieve_runs = st.lists(st.tuples(
     st.sampled_from(SIEVE_SYSTEMS + WHEEL_SYSTEMS),
     st.lists(st.integers(0, 2), min_size=5, max_size=5),
     st.builds(lambda start, n: range(start, start + n), st.integers(-10**6, 10**6),
               st.integers(3, 6)),
     st.integers(0, 6),
-    st.sampled_from((1 << 20, 97, 1000)),
+    st.sampled_from((1 << 14, 2, 16)),
 ), min_size=1, max_size=4)
 
 
 @settings(PROPERTY, max_examples=30)
 @given(sieve_runs)
-@example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2, 3], 1, 1 << 20),
-          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2], 1, 97),
-          ((2, 3, 5, 7), [1, 2, 0, 1, 0], [3, 4, 5], 4, 1 << 20),
-          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [9, 10, 11, 12], 5, 1 << 20)])
-@example([((2, 3, 5, 7, 11, 13), [1, 2, 0, 1, 0], [11, 12, 13, 14, 0], 1, 1 << 20),
-          ((13, 11, 7, 5, 3, 2), [1, 2, 0, 1, 0], [0, 1, 2], 6, 1 << 20)])
+@example([((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2, 3], 1, 1 << 14),
+          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [0, 1, 2], 1, 2),
+          ((2, 3, 5, 7), [1, 2, 0, 1, 0], [3, 4, 5], 4, 1 << 14),
+          ((2, 3, 5, 7, 11), [1, 2, 0, 1, 0], [9, 10, 11, 12], 5, 1 << 14)])
+@example([((2, 3, 5, 7, 11, 13), [1, 2, 0, 1, 0], [11, 12, 13, 14, 0], 1, 1 << 14),
+          ((13, 11, 7, 5, 3, 2), [1, 2, 0, 1, 0], [0, 1, 2], 6, 1 << 14)])
 def test_sieve_ignores_earlier_calls(runs):
     calls = []
-    for moduli, leading, lasts, degree, chunk_size in runs:
+    for moduli, leading, lasts, degree, chunk_words in runs:
         s = validate_modulus_system(moduli, coprime_mode=True)
         residues = [assign_residues(s, [*leading[: s.k - 1], last]) for last in lasts]
-        calls += [(s, a, degree % (s.k + 1), chunk_size) for a in residues]
+        calls += [(s, a, degree % (s.k + 1), chunk_words) for a in residues]
 
     def run(calls):
         results = []
-        for s, residues, degree, chunk_size in calls:
-            with mock.patch.object(oracle, "CHUNK_SIZE", chunk_size):
+        for s, residues, degree, chunk_words in calls:
+            with mock.patch.object(oracle, "CHUNK_WORDS", chunk_words):
                 results.append(sieve_histogram(s, residues, degree=degree))
         return results
 
     forward = run(calls)
     assert forward == run(calls[::-1])[::-1]
     # each equals a cold sieve of its whole window, and the fold's prefix
-    assert forward == [tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, a, degree))
-                       for s, a, degree, _ in calls]
+    assert forward == [sieve_histogram(s, a, degree=degree) for s, a, degree, _ in calls]
     assert forward == [exact_coverage_histogram(s)[: degree + 1] for s, _, degree, _ in calls]
 
 
@@ -315,7 +335,7 @@ def exhaustive_systems(draw):
 @example(validate_modulus_system([7, 2, 11, 3, 5]))
 @example(ModulusSystem(moduli=(3, 4, 9, 2), product=216))
 def test_block_histograms_equal_cold_sieves(s):
-    cold = [(residues, tuple(oracle._chunk_histogram(1, s.product + 1, s.moduli, residues, 1)))
+    cold = [(residues, sieve_histogram(s, residues, degree=1))
             for residues in itertools.product(*map(range, s.moduli))]
     width = next(w for w in (2, 4, 8) if s.product < 256**w)  # the width the check picks
     table = sorted((residues, (free, once))
