@@ -42,7 +42,7 @@ import time
 from collections.abc import Iterable, Iterator
 from typing import Any, NoReturn
 
-from .core import (CoverageCounts, ModulusSystem, _decimal_str, _exact_context, _product,
+from .core import (CoverageCounts, ModulusSystem, _decimal_str, _exact_context,
                    validate_modulus_system)
 from .counting import (
     coverage_counts,
@@ -65,8 +65,8 @@ from .oracle import DEFAULT_PRODUCT_LIMIT, residue_independence_check
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 4
-# bench multiplies every prefix in the product tree once per --repeat: at kmax 1000,
-# Bareiss aside, it took 0.3 s at --repeat 1 and 0.6-1.0 s at 3 on a 2-CPU host
+# bench multiplies every prefix in a product tree for its system, then once per --repeat: at
+# kmax 1000, Bareiss aside, it took 0.34-0.44 s at --repeat 1 and 0.73-0.76 s at 3 on 2 CPUs
 MAX_BENCH_KMAX = 1000
 # characters per write. A batch holds at most this much on top of its last piece,
 # and each write is a system call when stdout is unbuffered (PYTHONUNBUFFERED):
@@ -81,8 +81,7 @@ Output = tuple[dict[str, Any], dict[str, Any], Iterable[Iterable[str]], int]
 def _system_from_args(args: argparse.Namespace) -> ModulusSystem:
     if args.first_k is not None:
         # distinct primes by construction, so not tested for primality again
-        moduli = tuple(first_primes(args.first_k))
-        return ModulusSystem(moduli, _product(moduli))
+        return ModulusSystem(first_primes(args.first_k))
     try:
         moduli = [int(part) for part in args.primes.split(",") if part.strip() != ""]
     except ValueError:
@@ -302,13 +301,11 @@ def _run_bench(args: argparse.Namespace, _system: None) -> Output:
     if args.kmax > MAX_BENCH_KMAX:
         raise ResourceLimitError(f"--kmax {args.kmax} exceeds the bench limit {MAX_BENCH_KMAX}")
     # distinct primes by construction, as is each prefix, so none is tested again
-    moduli = tuple(first_primes(args.kmax))
+    moduli = first_primes(args.kmax)
     records = []
     skipped = None  # why Bareiss is skipped from this k on
-    product = 1
-    for k, modulus in enumerate(moduli, start=1):
-        product *= modulus
-        system = ModulusSystem(moduli[:k], product)
+    for k in range(1, args.kmax + 1):
+        system = ModulusSystem(moduli[:k])
         rec_ms, rec_det = _time_best(lambda: available_det(system), args.repeat)
         record: dict[str, Any] = {"k": str(k), "recurrence_ms": f"{rec_ms:.3f}"}
         if skipped is None:

@@ -1,15 +1,14 @@
 """Validated domain values for systems of arithmetic progressions.
 
-A modulus system is an ordered sequence of pairwise-distinct moduli
-(primes by default, pairwise-coprime integers behind an explicit flag)
-whose product defines the counting window [1, product]. An assignment,
-a plain tuple of residues, picks one residue class per modulus; ``gamma``
-is the per-integer coverage multiplicity: in how many of the chosen
-classes an integer lies.
+A modulus system is an ordered sequence of moduli whose product, worked out by the
+system, defines the counting window [1, product]; validated, they are distinct primes,
+or pairwise-coprime integers behind an explicit flag. An assignment, a plain tuple of
+residues, picks one residue class per modulus; ``gamma`` is the per-integer coverage
+multiplicity: in how many of the chosen classes an integer lies.
 
-The system and its counts are named tuples, so immutable; ``CoverageCounts``
-refuses counts that break its invariants. All functions are pure, so
-concurrent use needs no coordination.
+The system and its counts are named tuples, so immutable; a system refuses moduli no
+count can read (none, or one below 2), and ``CoverageCounts`` counts that break its
+invariants. All functions are pure, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -68,33 +67,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _Checked(tuple):
-    """A named tuple whose ``__new__`` checks it: made or replaced, it is checked too."""
+class ModulusSystem(namedtuple("ModulusSystem", "moduli product")):
+    """k >= 1 moduli in user order, each at least 2, with their exact product, worked out here."""
 
     __slots__ = ()
 
-    @classmethod
-    def _make(cls, iterable: Iterable):
-        # namedtuple's own _make, which _replace calls too, would skip the checks
-        return cls(*iterable)
-
-
-class ModulusSystem(_Checked, namedtuple("ModulusSystem", "moduli product")):
-    """k pairwise-distinct moduli in user order, with their exact product; k >= 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, moduli: tuple[int, ...], product: int) -> ModulusSystem:
+    def __new__(cls, moduli: Iterable[int]) -> ModulusSystem:
+        moduli = _integers(moduli, "modulus", "moduli")
         if not moduli:
             raise ValidationError("at least one modulus is required")
-        return super().__new__(cls, moduli, product)
+        small = next((m for m in moduli if m < 2), None)
+        if small is not None:
+            raise ValidationError(f"modulus {_decimal_str(small)} is smaller than 2")
+        return super().__new__(cls, moduli, _product(moduli))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ModulusSystem:
+        moduli, _ = iterable  # both fields read, as _replace requires; the product is remade
+        return cls(moduli)
+
+    def __getnewargs__(self) -> tuple:  # pickle and copy make a system from its moduli alone
+        return (self.moduli,)
 
     @property
     def k(self) -> int:
         return len(self.moduli)
 
 
-class CoverageCounts(_Checked, namedtuple("CoverageCounts", "available free occupied product")):
+class CoverageCounts(namedtuple("CoverageCounts", "available free occupied product")):
     """Exact window counts: gamma = 0 (free), <= 1 (available), >= 2 (occupied)."""
 
     __slots__ = ()
@@ -109,6 +109,11 @@ class CoverageCounts(_Checked, namedtuple("CoverageCounts", "available free occu
         if not free <= available <= product:
             raise ValidationError("free <= available <= product violated")
         return super().__new__(cls, *counts)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CoverageCounts:
+        # namedtuple's own _make, which _replace calls too, would skip the checks
+        return cls(*iterable)
 
 
 def _integers(values: Iterable[int], what: str, name: str = "argument") -> tuple[int, ...]:
@@ -138,8 +143,6 @@ def validate_modulus_system(
     counting identities actually require.
     """
     ms = _integers(moduli, "modulus", "moduli")
-    if not ms:
-        raise ValidationError("at least one modulus is required")
     for m in ms:
         if m < 2:
             raise ValidationError(f"modulus {_decimal_str(m)} is smaller than 2")
@@ -156,7 +159,7 @@ def validate_modulus_system(
             raise ValidationError(f"modulus {composite} is not prime")
         # distinct primes are coprime, so only a list with a composite is scanned
         _check_pairwise_coprime(ms)
-    return ModulusSystem(moduli=ms, product=_product(ms))
+    return ModulusSystem(ms)
 
 
 def _check_pairwise_coprime(ms: tuple[int, ...]) -> None:

@@ -298,9 +298,9 @@ def residue_independence_check(
 ) -> IndependenceReport:
     """Sieve many assignments and compare each against the recurrence counts.
 
-    Random mode draws ``trials`` assignments from a generator seeded with
-    ``seed`` (each residue uniform in [0, p)), so reports are reproducible;
-    exhaustive mode enumerates all ``product`` of them. Before any count, a check
+    Random mode draws ``trials`` assignments from a generator seeded with the integer
+    ``seed`` (each residue uniform in [0, p)), so reports are reproducible; exhaustive
+    mode enumerates all ``product`` of them and reads neither. Before any count, a check
     refuses ``trials`` below 1 (random mode only), then its limit and window, then
     assignments x max(product, ``SIEVE_CALL_INTEGERS``) over ``SIEVE_BUDGET``.
     """
@@ -308,6 +308,7 @@ def residue_independence_check(
         mode, assignments = "exhaustive", system.product
     else:
         (trials,) = _integers([trials], "trials")
+        (seed,) = _integers([seed], "seed")
         if trials < 1:
             raise ValidationError("trials must be >= 1")
         mode, assignments = "random", trials

@@ -1,9 +1,14 @@
+import copy
 import math
+import pickle
 import random
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import apcover
 from apcover.core import (
     STR_BITS,
     CoverageCounts,
@@ -190,16 +195,46 @@ NO_MODULI = {
 def test_every_entry_refuses_a_system_with_no_moduli(entry):
     # refused as validate_modulus_system refuses the empty list, before any count
     with pytest.raises(ValidationError) as refused:
-        NO_MODULI[entry](ModulusSystem((), 1))
+        NO_MODULI[entry](ModulusSystem(()))
     assert str(refused.value) == "at least one modulus is required"
 
 
 def test_a_system_made_or_replaced_is_checked_too():
-    assert ModulusSystem((2,), 2)._replace(moduli=(3,), product=3) == ModulusSystem._make(((3,), 3))
+    assert ModulusSystem((2,))._replace(moduli=(3,)) == ModulusSystem._make(((3,), 3))
     for made in (lambda: ModulusSystem._make(((), 1)),
-                 lambda: ModulusSystem((2,), 2)._replace(moduli=())):
+                 lambda: ModulusSystem((2,))._replace(moduli=())):
         with pytest.raises(ValidationError, match="at least one modulus is required"):
             made()
+
+
+@pytest.mark.parametrize("moduli, reason", [
+    ((0,), "modulus 0 is smaller than 2"),
+    ((-3,), "modulus -3 is smaller than 2"),
+    ((2, 1), "modulus 1 is smaller than 2"),
+    ((2.5,), "modulus 2.5 is not an integer"),
+    (("3",), "modulus '3' is not an integer"),
+], ids=["zero", "negative", "one", "float", "string"])
+def test_a_system_built_by_hand_refuses_moduli_no_count_can_read(moduli, reason):
+    # unvalidated, so shared factors and repeats pass, but no modulus below 2
+    with pytest.raises(ValidationError) as refused:
+        ModulusSystem(moduli)
+    assert str(refused.value) == reason
+
+
+def test_a_system_made_replaced_or_copied_works_out_its_own_product():
+    s = ModulusSystem([2, 3])
+    assert s == ((2, 3), 6) and s.product == 6
+    # a product passed to _make or _replace is ignored
+    assert s._replace(moduli=[5, 7]) == ModulusSystem._make(([5, 7], 1)) == ((5, 7), 35)
+    assert s._replace(product=7).product == 6
+    for copied in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert type(copied) is ModulusSystem and copied == ((2, 3), 6)
+
+
+def test_the_package_version_is_pyprojects():
+    # two copies of one fact; read by a regex, since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]*)"$', pyproject, re.MULTILINE)[1] == apcover.__version__
 
 
 def test_numpy_matrices_are_read_as_exact_ints():

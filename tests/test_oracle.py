@@ -160,6 +160,18 @@ def test_independence_deterministic_given_seed():
     assert first == second
 
 
+def test_a_random_check_reads_its_seed_by_index():
+    import numpy as np
+
+    s = system([2, 3, 5, 7])
+    assert (residue_independence_check(s, trials=8, seed=np.int64(3))
+            == residue_independence_check(s, trials=8, seed=3))
+    for seed in (1.5, "3", math.nan, [1]):
+        with pytest.raises(ValidationError) as refused:
+            residue_independence_check(s, trials=8, seed=seed)
+        assert str(refused.value) == f"seed {seed!r} is not an integer"
+
+
 def test_independence_exhaustive_budget():
     s = system([3, 5, 7, 11, 13, 17, 19])  # 4849845 assignments
     with pytest.raises(ResourceLimitError, match="exceed the exhaustive budget"):
@@ -371,7 +383,7 @@ def listed(moduli):
 
 
 def unvalidated(moduli):
-    return ModulusSystem(moduli=moduli, product=math.prod(moduli))
+    return ModulusSystem(moduli)
 
 
 def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypatch):
@@ -394,6 +406,20 @@ def test_exhaustive_mismatches_are_the_first_five_in_enumeration_order(monkeypat
                                               product=s.product)
             if s.product < 1000:
                 assert [free, once] == brute_histogram(s, residues, s.product)[:2]
+
+
+@pytest.mark.parametrize("trials", [7, 3])
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13, 17, 19)],
+                         ids=["2-byte-lanes", "4-byte-lanes"])
+def test_random_mismatches_are_the_first_five_in_trial_order(moduli, trials, monkeypatch):
+    # expected counts no assignment of these windows can meet: every trial mismatches
+    monkeypatch.setattr(oracle, "coverage_counts", lambda _: coverage_counts(system([331, 337])))
+    s = system(moduli)
+    report = residue_independence_check(s, trials=trials, seed=5)
+    assert report.assignments_tested == trials and not report.all_match
+    want = [(residues, oracle._counts(s, *sieve_histogram(s, residues, degree=1)))
+            for residues in itertools.islice(oracle._random_assignments(s, trials, 5), 5)]
+    assert list(report.mismatches) == want
 
 
 def lane_width(s):
@@ -530,7 +556,7 @@ def test_block_histograms_follow_the_residues_where_they_depend_on_them(moduli):
     # (2, 2, 2, 2) fills its blocks (0, 0, 0) and (1, 1, 1) with bytes 0 and 3 only:
     # no byte is 2, yet no integer is covered once, so a once-count may not be read
     # as rows minus zeros unless the head is one modulus
-    s = ModulusSystem(moduli=moduli, product=math.prod(moduli))
+    s = ModulusSystem(moduli)
     assert len(assert_blocks_equal_cold_sieves(s)) > 1
 
 
