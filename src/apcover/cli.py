@@ -198,8 +198,8 @@ def _table(records: list[dict[str, Any]]) -> list[list[str]]:
 
 
 def _run_count(args: argparse.Namespace, system: ModulusSystem) -> Output:
+    coefficients = exact_coverage_histogram(system)  # refused past its budget before any count
     counts = _str_counts(coverage_counts(system))
-    coefficients = exact_coverage_histogram(system)
     # the decimal of each coefficient is made as it is written
     header = [*counts, *(f"j{j}" for j in range(len(coefficients)))]
     rows = [header, itertools.chain(counts.values(), map(_decimal_str, coefficients))]

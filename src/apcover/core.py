@@ -24,15 +24,10 @@ from .errors import ValidationError
 MAX_MODULUS = 2**64 - 1
 STR_BITS = 2048  # str(n) below 2**2048 has 617 digits or fewer: no digit limit is below 640
 
-# Deterministic Miller-Rabin witness sets. Bases 2, 3, 5, 7 decide every
-# n < 3215031751 = 151 * 751 * 28351, the least strong pseudoprime to all four
-# (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980); Sinclair's seven
-# bases decide every n < 2**64, the full modulus range accepted above, as
-# checked against the list of base-2 strong pseudoprimes below 2**64 (Feitsma
-# and Galway). Those bases are not prime, so larger n are first trial-divided
-# by the first 12 primes.
-_MR_SMALL_BOUND = 3215031751
-_MR_SMALL_WITNESSES = (2, 3, 5, 7)
+# Sinclair's seven Miller-Rabin bases decide every n < 2**64, the modulus range accepted
+# above, as checked against the base-2 strong pseudoprimes below 2**64 (Feitsma and
+# Galway). The bases are not prime, so n is first trial-divided by the first 12 primes,
+# and a base that n divides is skipped: a prime such as 73 or 193 would fail it.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -41,12 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= 2**64 - 1."""
     if n < 2:
         return False
-    if n < _MR_SMALL_BOUND:
-        divisors = witnesses = _MR_SMALL_WITNESSES
-    else:
-        # every base is below n, so a prime n is coprime to each of them
-        divisors, witnesses = _TRIAL_PRIMES, _MR_WITNESSES
-    for p in divisors:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -54,7 +44,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in witnesses:
+    for a in _MR_WITNESSES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -19,6 +19,12 @@ from .determinant import Number, _free_and_once, coverage_polynomials
 from .errors import ResourceLimitError, ValidationError
 
 MAX_FIRST_PRIMES = 10**6  # a ~17 MB sieve
+# Moduli x the sum of their bit lengths that a histogram may cost: the fold's k steps
+# and the k + 1 decimals of its result both grow with it. Whole `count --format csv`
+# processes on a 2-CPU host: the first 1500 primes (2.8e7) took 1.0-1.6 s, the first
+# 2000 (5.2e7) 2.6 s and the first 3000 (1.2e8) 8.3 s; near the budget, the first 1958
+# primes took 2.1-3.0 s, 890 primes near 2**63 2.0-2.2 s and 1250 near 2**32 2.1-2.5 s.
+HISTOGRAM_BUDGET = 5 * 10**7
 
 
 def coverage_counts(system: ModulusSystem) -> CoverageCounts:
@@ -53,8 +59,13 @@ def exact_coverage_histogram(system: ModulusSystem) -> tuple[int, ...]:
     """Entry j counts the integers in [1, product] covered exactly j times, j = 0..k.
 
     The whole polynomial prod_i ((p_i - 1) + x), in O(k^2) exact
-    big-integer operations: the last prefix of the fold.
+    big-integer operations: the last prefix of the fold, refused past ``HISTOGRAM_BUDGET``.
     """
+    cost = system.k * sum(m.bit_length() for m in system.moduli)
+    if cost > HISTOGRAM_BUDGET:
+        raise ResourceLimitError(
+            f"{cost} moduli x modulus bits exceed the histogram budget {HISTOGRAM_BUDGET}"
+        )
     for histogram in coverage_polynomials(system.moduli, system.k):
         pass
     return histogram

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import apcover.cli as cli
+import apcover.counting
 import apcover.determinant
 from apcover.core import CoverageCounts, is_prime, validate_modulus_system
 from apcover.counting import (
@@ -105,6 +106,16 @@ def test_count_csv(capsys):
     assert lines[1] == "22,8,8,30,8,14,7,1"
 
 
+def test_count_refuses_a_histogram_past_its_budget_before_any_fold(capsys, monkeypatch):
+    def fold(*args):
+        raise AssertionError("the fold started")
+
+    monkeypatch.setattr(apcover.counting, "coverage_polynomials", fold)
+    code, out, err = run(capsys, "count", "--first-k", "3000")
+    assert (code, out) == (3, "")
+    assert err == "error: 122412000 moduli x modulus bits exceed the histogram budget 50000000\n"
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -115,8 +126,11 @@ def test_count_csv(capsys):
          "exhaustive,30,true,22,8,8,30\n"),
         # --bfile wins over --format csv
         (("oeis", "--sequence", "A005867", "--terms", "3", "--bfile"), "1 1\n2 2\n3 8\n"),
+        # 73 divides the Miller-Rabin base 450775 and 193 the base 28178: each skips it
+        (("count", "--primes", "73,193"),
+         "available,free,occupied,product,j0,j1,j2\n14088,13824,1,14089,13824,264,1\n"),
     ],
-    ids=["det", "verify", "oeis-bfile"],
+    ids=["det", "verify", "oeis-bfile", "count-73-193"],
 )
 def test_csv_bytes(capsys, argv, expected):
     assert run(capsys, *argv, "--format", "csv") == (0, expected, "")
@@ -247,6 +261,10 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
     [
         (("count", "--primes", "4,3"), 2, "modulus 4 is not prime"),
         (("count", "--primes", ","), 2, "at least one modulus is required"),
+        # 73 * 193 divides the Miller-Rabin base 28178, which is skipped; another base refuses it
+        (("count", "--primes", "14089"), 2, "modulus 14089 is not prime"),
+        (("count", "--first-k", "3000"), 3,
+         "error: 122412000 moduli x modulus bits exceed the histogram budget 50000000\n"),
         (("det", "--first-k", "12", "--which", "free", "--method", "laplace"), 2,
          "limited to dimension 12, got 13"),
         (("verify", "--primes", "2,3", "--trials", "0"), 2, "trials must be >= 1"),
@@ -307,7 +325,8 @@ FOUR_HUNDRED_ONE_DIGITS = "1" + "0" * 400
         (("frobnicate",), 2, "invalid choice: 'frobnicate'"),
     ],
     ids=[
-        "composite", "empty", "laplace-dimension-13", "trials-0", "threads-negative",
+        "composite", "empty", "composite-14089", "histogram-budget", "laplace-dimension-13",
+        "trials-0", "threads-negative",
         "limit-0", "trials-0-limit-0", "limit-0-threads-negative", "over-limit",
         "exhaustive-4849845", "exhaustive-510510",
         "first-k-0", "terms-0", "first-k-401-digits", "terms-401-digits", "random-1000000-trials",
@@ -890,7 +909,7 @@ OPTIONAL_IMPORTS = ("decimal", "concurrent.futures", "dataclasses", "inspect")
     ids=["import", "count", "oeis", "count-long", "verify-one-chunk", "verify-many-chunks",
          "library-degree-k"],
 )
-def test_decimal_and_thread_pool_are_loaded_only_where_used(code, names, loaded):
+def test_optional_modules_are_loaded_only_where_used(code, names, loaded):
     assert modules_loaded_after(code, names) == loaded
 
 

@@ -13,6 +13,7 @@ from apcover.core import (
     STR_BITS,
     CoverageCounts,
     ModulusSystem,
+    _MR_WITNESSES,
     _decimal_str,
     assign_residues,
     gamma,
@@ -21,9 +22,7 @@ from apcover.core import (
 )
 from apcover.counting import (
     coverage_counts,
-    exact_coverage_histogram,
     first_primes,
-    occ_recurrence,
     oeis_a005867,
     oeis_a067549,
 )
@@ -32,7 +31,6 @@ from apcover.determinant import (
     build_available_matrix,
     det_bareiss,
     det_laplace,
-    free_det,
 )
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
@@ -176,29 +174,6 @@ def test_every_library_entry_refuses_a_non_sequence_by_name(entry):
     assert str(refused.value) == f"{named} is not a sequence"
 
 
-# each entry that takes a system, handed one built by hand with no moduli
-NO_MODULI = {
-    "free_det": free_det,
-    "available_det": available_det,
-    "coverage_counts": coverage_counts,
-    "occ_recurrence": occ_recurrence,
-    "exact_coverage_histogram": exact_coverage_histogram,
-    "oracle_counts": lambda s: oracle_counts(s, ()),
-    "sieve_histogram": lambda s: sieve_histogram(s, ()),
-    "residue_independence_check-random": residue_independence_check,
-    "residue_independence_check-exhaustive": lambda s: residue_independence_check(
-        s, exhaustive=True),
-}
-
-
-@pytest.mark.parametrize("entry", NO_MODULI)
-def test_every_entry_refuses_a_system_with_no_moduli(entry):
-    # refused as validate_modulus_system refuses the empty list, before any count
-    with pytest.raises(ValidationError) as refused:
-        NO_MODULI[entry](ModulusSystem(()))
-    assert str(refused.value) == "at least one modulus is required"
-
-
 def test_a_system_made_or_replaced_is_checked_too():
     assert ModulusSystem((2,))._replace(moduli=(3,)) == ModulusSystem._make(((3,), 3))
     for made in (lambda: ModulusSystem._make(((), 1)),
@@ -208,12 +183,14 @@ def test_a_system_made_or_replaced_is_checked_too():
 
 
 @pytest.mark.parametrize("moduli, reason", [
+    # so no entry that takes a system can be handed one with no moduli
+    ((), "at least one modulus is required"),
     ((0,), "modulus 0 is smaller than 2"),
     ((-3,), "modulus -3 is smaller than 2"),
     ((2, 1), "modulus 1 is smaller than 2"),
     ((2.5,), "modulus 2.5 is not an integer"),
     (("3",), "modulus '3' is not an integer"),
-], ids=["zero", "negative", "one", "float", "string"])
+], ids=["none", "zero", "negative", "one", "float", "string"])
 def test_a_system_built_by_hand_refuses_moduli_no_count_can_read(moduli, reason):
     # unvalidated, so shared factors and repeats pass, but no modulus below 2
     with pytest.raises(ValidationError) as refused:
@@ -275,7 +252,8 @@ def test_validate_idempotent_on_own_output():
 
 @pytest.mark.parametrize(
     "n",
-    # 3215031749 and 3215031767: the primes either side of the four-witness bound
+    # 3215031749 and 3215031767: the primes either side of 3215031751, the least
+    # strong pseudoprime to bases 2, 3, 5 and 7
     [2, 3, 5, 97, 373, 2963, 2147483647, 3215031749, 3215031767, 2**61 - 1],
 )
 def test_is_prime_on_primes(n):
@@ -288,7 +266,7 @@ def test_is_prime_on_primes(n):
 )
 def test_is_prime_on_composites(n):
     # includes Carmichael numbers and strong pseudoprimes to small bases: 25326001 to
-    # 2, 3 and 5, and 3215031751, the four-witness bound, to 2, 3, 5 and 7
+    # 2, 3 and 5, and 3215031751, the least to 2, 3, 5 and 7
     assert not is_prime(n)
 
 
@@ -296,6 +274,23 @@ def test_is_prime_agrees_with_the_sieve_below_200000():
     primes = set(first_primes(18000))  # the 17984th prime is the last below 200000
     assert max(primes) > 200000
     assert [n for n in range(200000) if is_prime(n) != (n in primes)] == []
+
+
+# each base with its prime divisors above 37, which trial division does not settle: a
+# base that n divides is skipped, or it would refuse them; 14089 = 73 * 193, which
+# divides 28178, is the one composite divisor with no factor up to 37
+BASE_PRIMES = {2: [], 325: [], 9375: [], 28178: [73, 193], 450775: [73],
+               9780504: [407521], 1795265022: [299210837]}
+
+
+@pytest.mark.parametrize("base", BASE_PRIMES)
+def test_is_prime_agrees_with_trial_division_on_every_divisor_of_a_base(base):
+    assert tuple(BASE_PRIMES) == _MR_WITNESSES
+    divisors = sorted({d for i in range(1, math.isqrt(base) + 1) if base % i == 0
+                       for d in (i, base // i)})
+    primes = [d for d in divisors if d > 1 and all(d % i for i in range(2, math.isqrt(d) + 1))]
+    assert [d for d in divisors if is_prime(d)] == primes
+    assert [p for p in primes if p > 37] == BASE_PRIMES[base]
 
 
 def is_strong_probable_prime(n, a):
@@ -306,8 +301,8 @@ def is_strong_probable_prime(n, a):
     return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
 
 
-# composites above the four-witness bound that are strong pseudoprimes to bases
-# 2, 3, 5 and 7: 3215031751 to those four, 2152302898747 to 2..11,
+# composites from 3215031751 up that are strong pseudoprimes to bases 2, 3, 5
+# and 7: 3215031751, the least, to those four, 2152302898747 to 2..11,
 # 3474749660383 to 2..13, 341550071728321 to 2..17, 3825123056546413051 to 2..23
 STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321,
                        3825123056546413051]
@@ -319,7 +314,7 @@ def test_is_prime_agrees_with_sympy_on_64_bit_integers():
     rng = random.Random(64)
     sample = [rng.randrange(2**32, 2**64) for _ in range(2000)]
     # odd integers near 2**64, where 2**64 - 59 is the largest prime below it, and
-    # near the four-witness bound, then squares and products of two large primes
+    # near 3215031751, then squares and products of two large primes
     sample += [2**64 - i for i in range(1, 200, 2)]
     sample += range(3215031751 - 100, 3215031751 + 100)
     large_primes = [sympy.prevprime(2**32 - 5 * i) for i in range(1, 6)]

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from apcover.core import assign_residues, gamma, validate_modulus_system
+from apcover import counting
+from apcover.core import ModulusSystem, assign_residues, gamma, validate_modulus_system
 from apcover.counting import (
+    HISTOGRAM_BUDGET,
     MAX_FIRST_PRIMES,
     coverage_counts,
     exact_coverage_histogram,
@@ -117,6 +119,30 @@ def test_histogram_k40_against_routes_outside_the_fold():
     assert sum(j * c for j, c in enumerate(counts)) == sum(
         s.product // p for p in s.moduli
     )
+
+
+@pytest.mark.parametrize("moduli, admitted, cost", [
+    # the first 1970 primes cost 49947380 moduli x modulus bits
+    (first_primes(1971), 1970, 50002299),
+    # 883 moduli of 64 bits cost 883 * 883 * 64 = 49900096
+    ([2**64 - 59] * 884, 883, 50013184),
+], ids=["first-primes", "64-bit"])
+def test_a_histogram_at_its_budget_is_admitted_and_one_modulus_more_refused(
+    monkeypatch, moduli, admitted, cost
+):
+    folded = []  # the fold is stubbed: only whether it starts is under test
+
+    def fold(factors, degree):
+        folded.append(len(factors))
+        yield ()
+
+    monkeypatch.setattr(counting, "coverage_polynomials", fold)
+    assert exact_coverage_histogram(ModulusSystem(moduli[:admitted])) == ()
+    with pytest.raises(ResourceLimitError) as refused:
+        exact_coverage_histogram(ModulusSystem(moduli))
+    assert str(refused.value) == (
+        f"{cost} moduli x modulus bits exceed the histogram budget {HISTOGRAM_BUDGET}")
+    assert HISTOGRAM_BUDGET == 5 * 10**7 and folded == [admitted]
 
 
 def test_first_primes():
