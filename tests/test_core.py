@@ -22,7 +22,9 @@ from apcover.core import (
 )
 from apcover.counting import (
     coverage_counts,
+    exact_coverage_histogram,
     first_primes,
+    occ_recurrence,
     oeis_a005867,
     oeis_a067549,
 )
@@ -31,6 +33,7 @@ from apcover.determinant import (
     build_available_matrix,
     det_bareiss,
     det_laplace,
+    free_det,
 )
 from apcover.errors import ResourceLimitError, ValidationError
 from apcover.oracle import (
@@ -174,6 +177,29 @@ def test_every_library_entry_refuses_a_non_sequence_by_name(entry):
     assert str(refused.value) == f"{named} is not a sequence"
 
 
+# each entry that takes a system, handed one built by hand with no moduli
+NO_MODULI = {
+    "free_det": free_det,
+    "available_det": available_det,
+    "coverage_counts": coverage_counts,
+    "occ_recurrence": occ_recurrence,
+    "exact_coverage_histogram": exact_coverage_histogram,
+    "oracle_counts": lambda s: oracle_counts(s, ()),
+    "sieve_histogram": lambda s: sieve_histogram(s, ()),
+    "residue_independence_check-random": residue_independence_check,
+    "residue_independence_check-exhaustive": lambda s: residue_independence_check(
+        s, exhaustive=True),
+}
+
+
+@pytest.mark.parametrize("entry", NO_MODULI)
+def test_every_entry_refuses_a_system_with_no_moduli(entry):
+    # refused as validate_modulus_system refuses the empty list, before any count
+    with pytest.raises(ValidationError) as refused:
+        NO_MODULI[entry](ModulusSystem(()))
+    assert str(refused.value) == "at least one modulus is required"
+
+
 def test_a_system_made_or_replaced_is_checked_too():
     assert ModulusSystem((2,))._replace(moduli=(3,)) == ModulusSystem._make(((3,), 3))
     for made in (lambda: ModulusSystem._make(((), 1)),
@@ -183,14 +209,12 @@ def test_a_system_made_or_replaced_is_checked_too():
 
 
 @pytest.mark.parametrize("moduli, reason", [
-    # so no entry that takes a system can be handed one with no moduli
-    ((), "at least one modulus is required"),
     ((0,), "modulus 0 is smaller than 2"),
     ((-3,), "modulus -3 is smaller than 2"),
     ((2, 1), "modulus 1 is smaller than 2"),
     ((2.5,), "modulus 2.5 is not an integer"),
     (("3",), "modulus '3' is not an integer"),
-], ids=["none", "zero", "negative", "one", "float", "string"])
+], ids=["zero", "negative", "one", "float", "string"])
 def test_a_system_built_by_hand_refuses_moduli_no_count_can_read(moduli, reason):
     # unvalidated, so shared factors and repeats pass, but no modulus below 2
     with pytest.raises(ValidationError) as refused:
